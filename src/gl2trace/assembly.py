@@ -12,8 +12,6 @@ import itertools
 import os
 from fractions import Fraction
 
-import mpmath
-
 from .chargroup import (class_group_mod_squares, hilbert_symbol, kronecker,
                         normalize_places)
 from .hecke import HeckeElement, LocalField, coset_degree, n_integral
@@ -65,6 +63,7 @@ def _cmp_log(tabs, r):
         return 0 if r == 0 else (-1 if r > 0 else 1)
     if r == 0:
         return 1 if tabs > 1 else -1
+    import mpmath  # loaded on first use: most commands never need it
     for dps in (40, 80, 160, 320, 640):
         with mpmath.workdps(dps):
             d = (mpmath.log(mpmath.mpf(tabs.numerator))
@@ -120,6 +119,7 @@ class ArchProfile:
                 "profile piece has degree %d at the irrational point "
                 "log(%s); only |t| = 1 or constant pieces evaluate "
                 "exactly" % (len(coeffs) - 1, abs(t)))
+        import mpmath
         with mpmath.workdps(40):
             el = mpmath.log(mpmath.mpf(t.numerator if t > 0 else -t.numerator)
                             / t.denominator)
@@ -395,6 +395,7 @@ def numeric_verify(s_small):
     as s -> 0 (ratio of the simple poles at 0 and 1)."""
     s = float(s_small)
     assert s > 0
+    import mpmath
     with mpmath.workdps(50):
         def xi(x):
             return mpmath.pi ** (-x / 2) * mpmath.gamma(x / 2) * mpmath.zeta(x)
@@ -403,6 +404,7 @@ def numeric_verify(s_small):
 
 def uncompleted_zeta_ratio(s):
     " zeta(1-s)/zeta(1+s); at s = 1 this is zeta(0)/zeta(2) ~ -0.304 "
+    import mpmath
     with mpmath.workdps(50):
         return float(mpmath.zeta(1 - mpmath.mpf(s)) / mpmath.zeta(1 + mpmath.mpf(s)))
 

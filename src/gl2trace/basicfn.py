@@ -81,7 +81,8 @@ def rep_weights(r):
 def symn_trace(r, n):
     """Complete homogeneous symmetric function h_n on the weights of r,
     as a symmetric Laurent polynomial with integer coefficients."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError("n = %s is negative: the series starts at n = 0" % n)
     table = [dict() for _ in range(n + 1)]
     table[0][(0, 0)] = 1
     for (e1, e2) in rep_weights(r):

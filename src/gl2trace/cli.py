@@ -20,7 +20,7 @@ from .chargroup import (class_group_mod_squares, parse_group_function,
                         poisson_check, subgroup_generated)
 from .hecke import (HeckeElement, LocalField, SatakeParameter, convolve,
                     satake_transform)
-from .kernels import BACKEND, tau_table
+from .kernels import BACKEND
 from .orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
                       phi_transform, rational_reconstruct, split_orbital,
                       tree_orbital_oracle)
@@ -262,6 +262,11 @@ def _cmd_tau(args):
     if table.ap(2) != -24:
         print("FAIL tau(2) = %d from the %s kernel" % (table.ap(2), BACKEND))
         return FAIL
+    for p in table.primes():
+        if table.ap(p) ** 2 > 4 * p ** 11:
+            print("FAIL tau(%d) = %d breaks Deligne's bound tau(p)^2 <= 4p^11"
+                  % (p, table.ap(p)))
+            return FAIL
     _write_out(args, table.to_csv())
     return OK
 
@@ -270,7 +275,7 @@ def _cmd_estimate_mr(args):
     table = delta_qexpansion(args.x)
     rep = parse_weighting(args.r)
     ns = [int(n) for n in args.n_grid.split(",")]
-    rows = estimator_series(rep, table, ns, jobs=args.jobs)
+    rows = estimator_series(rep, table, ns)
     _write_out(args, format_estimates(rows))
     return OK
 
@@ -331,8 +336,7 @@ def _build_parser():
         tol={"type": float, "default": 1e-3})
     add("tau", _cmd_tau, x={"type": int, "required": True}, out={})
     add("estimate-mr", _cmd_estimate_mr, x={"type": int, "required": True},
-        r={"default": "sym2"}, n_grid={"required": True},
-        jobs={"type": int, "default": 1}, out={})
+        r={"default": "sym2"}, n_grid={"required": True}, out={})
     return top
 
 
@@ -368,8 +372,8 @@ def run(argv=None):
         _apply_config(args)
         # config may have provided string values for typed flags
         for k, v in list(vars(args).items()):
-            if k in ("n", "x", "d", "depth", "check", "dmax", "jobs",
-                     "q", "order") and isinstance(v, str):
+            if k in ("n", "x", "d", "depth", "check", "dmax", "q",
+                     "order") and isinstance(v, str):
                 setattr(args, k, int(v))
             if k == "tol" and isinstance(v, str):
                 setattr(args, k, float(v))

@@ -234,10 +234,6 @@ class LaurentQ:
         return cls(Fraction(s), 0, q)
 
 
-def laurent_one(q=None):
-    return LaurentQ(1, 0, q)
-
-
 class QiNumber:
     """Gaussian rational re + im*i."""
 

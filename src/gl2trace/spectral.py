@@ -8,7 +8,6 @@ complex doubles and reports trends rather than asserting limits.
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from .basicfn import RepSpec, local_l_factor, rep_weights
 from .hecke import SatakeParameter
@@ -108,7 +107,8 @@ def load_eigentable(path, label="Delta", weight=12):
 
 def delta_qexpansion(x):
     " discriminant-form eigenvalues tau(p) for p <= x, from the q-expansion "
-    assert x >= 2
+    if x < 2:
+        raise ValueError("x = %s is below 2: no primes to tabulate" % x)
     taus = tau_table(x)
     ap = {p: taus[p - 1] for p in primes_below(x + 1)}
     return EigenTable("Delta", 12, ap, bound=x + 1)
@@ -201,29 +201,26 @@ def pairwise_sum(xs):
     return xs[0]
 
 
-def _mr_terms(r, table, ps, jobs):
-    def term(p):
-        c = satake_from_ap(table, p)
-        # log measure weight against the real part of the trace
-        return math.log(p) * complex(_trace_of(r, c.alpha, c.beta)).real
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(term, ps))
-    return [term(p) for p in ps]
-
-
-def mr_estimator(r, table, n, jobs=1):
+def mr_estimator(r, table, n):
     """Average of log(p) tr(r(c_p)) over primes p < n; the candidate
-    pole-order value of the partial L-function of r."""
+    pole-order value of the partial L-function of r.  n may not exceed
+    the table bound, so every prime below n is in the table."""
+    if n > table.bound:
+        raise ValueError("n = %s exceeds the table bound %d" % (n, table.bound))
     ps = table.primes(below=n)
     if not ps:
         raise ValueError("no primes below %s in the table" % n)
-    return pairwise_sum(_mr_terms(r, table, ps, jobs)) / len(ps)
+    terms = []
+    for p in ps:
+        c = satake_from_ap(table, p)
+        # log measure weight against the real part of the trace
+        terms.append(math.log(p) * complex(_trace_of(r, c.alpha, c.beta)).real)
+    return pairwise_sum(terms) / len(ps)
 
 
-def estimator_series(r, table, ns, jobs=1):
+def estimator_series(r, table, ns):
     " rows (n, mr_estimator at n) for trend inspection "
-    return [(n, mr_estimator(r, table, n, jobs=jobs)) for n in ns]
+    return [(n, mr_estimator(r, table, n)) for n in ns]
 
 
 def format_estimates(rows):

@@ -1,9 +1,13 @@
 """Exit codes, report formats, and determinism of the command line."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gl2trace
 from gl2trace.chargroup import (FiniteAbelianGroup, GroupFunction,
                                 format_group_function)
 from gl2trace.cli import run
@@ -162,14 +166,52 @@ def test_tau_csv(tmp_path, capsys):
     assert lines[0] == "p,ap" and lines[1] == "2,-24" and lines[2] == "3,252"
 
 
-def test_estimate_mr_jobs_identical(capsys):
+def test_tau_deligne_failure(monkeypatch, capsys):
+    from gl2trace import spectral
+    good = spectral.tau_table
+
+    def forged(x):
+        t = good(x)
+        t[4] = 10 ** 9                               # tau(5)
+        return t
+    monkeypatch.setattr(spectral, "tau_table", forged)
+    assert run(["tau", "--x", "30"]) == 1
+    assert "FAIL tau(5) = 1000000000" in capsys.readouterr().out
+
+
+def test_estimate_mr_csv(capsys):
+    from gl2trace.basicfn import RepSpec
+    from gl2trace.spectral import (delta_qexpansion, estimator_series,
+                                   format_estimates)
     assert run(["estimate-mr", "--x", "300", "--r", "sym2",
                 "--n-grid", "100,300"]) == 0
-    a = capsys.readouterr().out
-    assert run(["estimate-mr", "--x", "300", "--r", "sym2",
-                "--n-grid", "100,300", "--jobs", "3"]) == 0
-    assert capsys.readouterr().out == a
-    assert a.splitlines()[0] == "N,estimate"
+    rows = estimator_series(RepSpec(2), delta_qexpansion(300), [100, 300])
+    assert capsys.readouterr().out == format_estimates(rows)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["tau", "--x", "1"], "x = 1"),
+    (["tau", "--x", "0"], "x = 0"),
+    (["estimate-mr", "--x", "1", "--n-grid", "2"], "x = 1"),
+    (["estimate-mr", "--x", "100", "--n-grid", "50,1000"], "n = 1000"),
+    (["basic-fn", "--q", "2", "--r", "std", "--n", "-1"], "n = -1"),
+])
+def test_bad_values_named(argv, value, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err
+
+
+def test_bad_value_named_under_optimize():
+    " input checks are exceptions, so they survive python -O "
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    code = ("import sys; from gl2trace.cli import run; sys.exit(run("
+            "['basic-fn', '--q', '2', '--r', 'std', '--n', '-1']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "n = -1" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_config_defaults(tmp_path, capsys):

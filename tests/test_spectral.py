@@ -30,11 +30,63 @@ def brute_tau(x):
     return c
 
 
+def sparse_tau(x):
+    """tau(1..x) as the first x coefficients of (eta^3)^8, by eight
+    sparse multiplications with the Jacobi series of eta^3."""
+    if x < 1:
+        return []
+    terms = []
+    k = 0
+    while k * (k + 1) // 2 < x:
+        terms.append((k * (k + 1) // 2, (2 * k + 1) * (-1) ** k))
+        k += 1
+    c = [0] * x
+    c[0] = 1
+    for _ in range(8):
+        nxt = [0] * x
+        for e, coef in terms:
+            for i in range(x - e):
+                if c[i]:
+                    nxt[i + e] += coef * c[i]
+        c = nxt
+    return c
+
+
+def smallest_prime_factor(n):
+    p = 2
+    while n % p:
+        p += 1
+    return p
+
+
 # -- tau oracle ---------------------------------------------------------
 
 
 def test_tau_against_brute_expansion():
     assert tau_table(60) == brute_tau(60)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 60, 61, 1000, 4097])
+def test_tau_against_sparse_kernel(x):
+    assert tau_table(x) == sparse_tau(x)
+
+
+def test_tau_empty():
+    assert tau_table(0) == []
+
+
+def test_tau_deligne_and_multiplicativity():
+    x = 5000
+    tau = [None] + tau_table(x)                      # tau[n] = tau(n)
+    for p in primes_below(x + 1):
+        assert tau[p] ** 2 <= 4 * p ** 11, p
+    for n in range(2, x + 1):
+        p = smallest_prime_factor(n)
+        pa = p
+        while n % (pa * p) == 0:
+            pa *= p
+        m = n // pa
+        assert tau[n] == tau[pa] * tau[m], n
 
 
 def test_tau_known_values():
@@ -59,6 +111,9 @@ def test_delta_table():
     assert t.primes(below=10) == [2, 3, 5, 7]
     with pytest.raises(ValueError):
         t.ap(101)
+    for x in (1, 0):
+        with pytest.raises(ValueError, match="x = %d" % x):
+            delta_qexpansion(x)
 
 
 def test_table_validation():
@@ -164,11 +219,11 @@ def test_proxy_decomposition():
     assert abs(proxy - split) < 1e-9
 
 
-def test_jobs_deterministic():
-    t = delta_qexpansion(400)
-    a = mr_estimator(SYM2, t, 400, jobs=1)
-    b = mr_estimator(SYM2, t, 400, jobs=3)
-    assert a == b
+def test_mr_grid_beyond_table():
+    t = delta_qexpansion(100)
+    assert mr_estimator(TRIV, t, 101) == mr_estimator(TRIV, t, 100)
+    with pytest.raises(ValueError, match="n = 102 exceeds the table bound 101"):
+        mr_estimator(TRIV, t, 102)
 
 
 def test_parse_weighting():
