@@ -397,9 +397,6 @@ def _trace_value(h, c):
         if qi.im == 0:
             return LaurentQ(qi.re)
         return qi
-    if isinstance(val, LaurentQ):
-        assert val.v_free
-        return LaurentQ(val.a)
     return val
 
 

@@ -31,7 +31,7 @@ from .spectral import (delta_qexpansion, estimator_series, format_estimates,
 OK, FAIL, USAGE = 0, 1, 2
 
 
-class _Usage(Exception):
+class _Usage(ValueError):
     pass
 
 
@@ -107,6 +107,9 @@ def _cmd_basic_fn(args):
 
 
 def _cmd_l_factor(args):
+    field = LocalField(args.q)
+    if args.check is not None and args.check < 0:
+        raise _Usage("--check %d is negative: a series order is >= 0" % args.check)
     rep = RepSpec.parse(args.r)
     m, n = _int_pair(args.triple, "--triple")
     if not m > n > 0:
@@ -115,8 +118,7 @@ def _cmd_l_factor(args):
     fn = local_l_factor(rep, c)
     print(fn.to_text(), end="")
     if args.check is not None:
-        lhs, rhs = truncated_basic_identity(rep, c, args.check,
-                                            LocalField(args.q))
+        lhs, rhs = truncated_basic_identity(rep, c, args.check, field)
         for k in range(args.check + 1):
             if not value_eq(lhs[k], rhs[k]):
                 print("FAIL at order %d: trace %s vs L-series %s"
@@ -145,6 +147,8 @@ def _cmd_orbital_zeta(args):
     rep = RepSpec.parse(args.r)
     m1, m2 = _int_pair(args.gamma, "--gamma")
     gamma = SplitClass.from_data(LocalField(args.q), m1, m2, args.d)
+    if args.order < 0:
+        raise _Usage("--N %d is negative: a series order is >= 0" % args.order)
     series = orbital_zeta(gamma, rep, args.order)
     degn, degd = _int_pair(args.fit, "--fit")
     fn = rational_reconstruct(series, degn, degd)

@@ -12,7 +12,7 @@ the residue cardinality live in the LaurentQ coefficient ring (v^2 = q).
 
 from fractions import Fraction
 
-from .rings import LaurentQ, QiNumber, QiV, fr
+from .rings import LaurentQ, QiNumber, QiV
 
 INF = None  # valuation of zero
 
@@ -23,7 +23,8 @@ class LocalField:
     __slots__ = ("q",)
 
     def __init__(self, q):
-        assert isinstance(q, int) and q >= 2
+        if not isinstance(q, int) or q < 2:
+            raise ValueError("residue cardinality q = %r is not an integer >= 2" % (q,))
         self.q = q
 
     def v(self, k=1):
@@ -347,17 +348,27 @@ class SymLaurent:
     __rmul__ = scale
 
     def evaluate(self, y1, y2):
-        " substitute Y1 = y1, Y2 = y2; duck-typed over the value ring "
-        total = None
+        """Substitute Y1 = y1, Y2 = y2 and v = +sqrt(q): Gaussian
+        rationals (QiNumber) give an exact QiV, complex numbers a complex.
+        Powers come from one table per variable over the exponent range;
+        the rational and v-parts of the coefficients are summed apart."""
+        lo = min((j for (_, j) in self.coeffs), default=0)
+        hi = max((i for (i, _) in self.coeffs), default=0)
+        p1, p2 = [y1 ** lo], [y2 ** lo]
+        for _ in range(hi - lo):
+            p1.append(p1[-1] * y1)
+            p2.append(p2[-1] * y2)
+        rat = irr = 0
         for (i, j), c in self.coeffs.items():
-            term = y1 ** i * y2 ** j
+            term = p1[i - lo] * p2[j - lo]
             if i != j:
-                term = term + y1 ** j * y2 ** i
-            term = c * term
-            total = term if total is None else total + term
-        if total is None:
-            return LaurentQ(0, 0, self.q)
-        return total
+                term = term + p1[j - lo] * p2[i - lo]
+            rat = c.a * term + rat
+            if c.b:
+                irr = c.b * term + irr
+        if isinstance(y1, QiNumber):
+            return QiV(rat, irr, self.q)
+        return complex(rat + irr * self.q ** 0.5 if irr else rat)
 
     def __str__(self):
         if not self.coeffs:
@@ -425,16 +436,17 @@ def n_integral(h, m1, m2):
     h([[p^m1, p^m1 x], [0, p^m2]]) with vol(O) = 1."""
     q = h.field.q
     mn = min(m1, m2)
+    # d1 < mn <= m1, so every weight below is a power of q in Z
     total = LaurentQ(0, 0, q)
     c = h.coeffs.get((m1 + m2 - mn, mn))
     if c is not None:
-        total = total + c * Fraction(q) ** (m1 - mn)
+        total = total + c * q ** (m1 - mn)
     if h.coeffs:
         minb = min(b for (_, b) in h.coeffs)
         for d1 in range(minb, mn):
             c = h.coeffs.get((m1 + m2 - d1, d1))
             if c is not None:
-                total = total + c * (Fraction(q) ** (m1 - d1) - Fraction(q) ** (m1 - d1 - 1))
+                total = total + c * ((q - 1) * q ** (m1 - d1 - 1))
     return total
 
 
@@ -457,24 +469,30 @@ def satake_transform(h):
 
 
 def inverse_satake(poly, field=None):
-    """Exact preimage of a symmetric Laurent polynomial under the
-    transform, by triangularity with respect to dominance order."""
+    """Exact preimage under the transform, by Macdonald's formula (Gross,
+    On the Satake isomorphism): with Schur polynomials s (s_{b-1,b} = 0),
+    S(1_{a,b}) = v^(a-b) (s_{a,b} - q^-1 s_{a-1,b+1}) for a > b and
+    S(1_{a,a}) = s_{a,a}, which telescopes to
+    s_{a,b} = v^-(a-b) * sum over k = 0..(a-b)//2 of S(1_{a-k,b+k}).
+    Monomial coefficients c give s_{a,b} the coefficient c_{a,b} - c_{a+1,b-1},
+    so each key takes a running sum down its diagonal a + b = const."""
     if field is None:
         if poly.q is None:
             raise ValueError("need a base field: polynomial carries no q")
         field = LocalField(poly.q)
     q = field.q
-    rest = SymLaurent(dict(poly.coeffs), q)
+    get = poly.coeffs.get
+    top = {}
+    for (a, b) in poly.coeffs:
+        top[a + b] = max(top.get(a + b, a), a)
     coeffs = {}
-    guard = 0
-    while rest:
-        guard += 1
-        assert guard < 10000, "inverse transform failed to terminate"
-        key = max(rest.coeffs, key=lambda k: (k[0] - k[1], k[0] + k[1]))
-        i, j = key
-        c = rest.coeffs[key] * LaurentQ.v_power(j - i, q)
-        coeffs[(i, j)] = c
-        rest = rest - satake_transform(HeckeElement.char(field, (i, j))).scale(c)
+    for s, a_top in top.items():
+        run = 0
+        for a in range(a_top, (s - 1) // 2, -1):
+            b = s - a
+            schur = get((a, b), 0) - get((a + 1, b - 1), 0)
+            run = run + schur * LaurentQ.v_power(b - a, q)
+            coeffs[(a, b)] = run
     return HeckeElement(field, coeffs)
 
 
@@ -520,17 +538,4 @@ def spherical_trace(h, satp):
     """Evaluate the transform of h at (alpha, beta), v = +sqrt(q).
 
     Exact parameters give a QiV value; numeric parameters give complex."""
-    s = satake_transform(h)
-    if satp.exact:
-        one = QiV(QiNumber(1), QiNumber(0), h.field.q)
-        val = s.evaluate(one * satp.alpha, one * satp.beta)
-        if isinstance(val, LaurentQ):
-            val = QiV.from_laurent(val)
-        return val
-    total = 0j
-    for (i, j), c in s.coeffs.items():
-        term = satp.alpha ** i * satp.beta ** j
-        if i != j:
-            term += satp.alpha ** j * satp.beta ** i
-        total += c.to_float() * term
-    return total
+    return satake_transform(h).evaluate(satp.alpha, satp.beta)

@@ -43,8 +43,8 @@ class LaurentQ:
         a, b = fr(a), fr(b)
         if b and q is None:
             raise ValueError("v-part requires a residue cardinality q")
-        if q is not None:
-            assert q >= 2
+        if q is not None and (not isinstance(q, int) or q < 2):
+            raise ValueError("residue cardinality q = %r is not an integer >= 2" % (q,))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "q", q)
@@ -274,6 +274,8 @@ class QiNumber:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QiNumber(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -411,36 +413,6 @@ class QiV:
         return QiV(a, b, q)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        if not self:
-            raise ZeroDivisionError("QiV zero has no inverse")
-        if not self.b:
-            return QiV(self.a.inverse(), QiNumber(0), self.q)
-        n = self.a * self.a - self.b * self.b * self.q
-        if not n:
-            raise ZeroDivisionError("zero divisor: q = %s is a square" % self.q)
-        ninv = n.inverse()
-        return QiV(self.a * ninv, -self.b * ninv, self.q)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, n):
-        assert isinstance(n, int)
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QiV(QiNumber(1), QiNumber(0), self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -1,5 +1,6 @@
 """Exit codes, report formats, and determinism of the command line."""
 
+import json
 import os
 import subprocess
 import sys
@@ -189,29 +190,55 @@ def test_estimate_mr_csv(capsys):
     assert capsys.readouterr().out == format_estimates(rows)
 
 
-@pytest.mark.parametrize("argv, value", [
+BAD_VALUES = [
     (["tau", "--x", "1"], "x = 1"),
     (["tau", "--x", "0"], "x = 0"),
     (["estimate-mr", "--x", "1", "--n-grid", "2"], "x = 1"),
     (["estimate-mr", "--x", "100", "--n-grid", "50,1000"], "n = 1000"),
     (["basic-fn", "--q", "2", "--r", "std", "--n", "-1"], "n = -1"),
-])
+    (["basic-fn", "--q", "1", "--r", "std", "--n", "2"], "q = 1"),
+    (["l-factor", "--q", "1", "--r", "std", "--check", "3"], "q = 1"),
+    (["l-factor", "--q", "2", "--r", "std", "--check", "-1"], "--check -1"),
+    (["orbital-zeta", "--q", "1", "--gamma", "1,1", "--d", "2", "--r", "std",
+      "--N", "8", "--fit", "1,1"], "q = 1"),
+    (["orbital-zeta", "--q", "2", "--gamma", "1,0", "--r", "std",
+      "--N", "-1", "--fit", "1,1"], "--N -1"),
+]
+
+
+@pytest.mark.parametrize("argv, value", BAD_VALUES)
 def test_bad_values_named(argv, value, capsys):
     assert run(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and value in err
+    assert "verified" not in out
 
 
-def test_bad_value_named_under_optimize():
+def test_bad_value_named_under_optimize(tmp_path):
     " input checks are exceptions, so they survive python -O "
+    hecke = tmp_path / "q1.hecke"
+    hecke.write_text("q 1 kmin 0\n1 0 1\n")
+    cases = BAD_VALUES + [(["satake", "--q", "2", "--in", str(hecke)], "q = 1")]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(gl2trace.__file__)))
-    code = ("import sys; from gl2trace.cli import run; sys.exit(run("
-            "['basic-fn', '--q', '2', '--r', 'std', '--n', '-1']))")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "n = -1" in proc.stderr and "Traceback" not in proc.stderr
+    code = ("import contextlib, io, json, sys\n"
+            "from gl2trace.cli import run\n"
+            "rows = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = run(argv)\n"
+            "    rows.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(rows))\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, json.dumps([a for a, _ in cases])],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for (argv, value), (code, out, err) in zip(cases, json.loads(proc.stdout),
+                                               strict=True):
+        assert code == 2, argv
+        assert err.startswith("error: ") and value in err, (argv, err)
+        assert "verified" not in out and "Traceback" not in err, argv
 
 
 def test_config_defaults(tmp_path, capsys):

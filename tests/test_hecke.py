@@ -209,14 +209,71 @@ def test_satake_is_multiplicative(q):
         assert satake_transform(f * g) == satake_transform(f) * satake_transform(g)
 
 
+def naive_evaluate(poly, y1, y2):
+    """Substitute Y1 = y1, Y2 = y2 monomial by monomial, with fresh
+    powers; Gaussian rationals give a QiV."""
+    total = 0
+    for (i, j), c in poly.coeffs.items():
+        term = y1 ** i * y2 ** j
+        if i != j:
+            term = term + y1 ** j * y2 ** i
+        if isinstance(term, QiNumber):
+            c = QiV.from_laurent(c)
+        total = c * term + total
+    return total
+
+
+def dominance_inverse(poly, field):
+    """The transform inverted by triangularity in dominance order: peel
+    off the leading monomial with one forward transform per step."""
+    q = field.q
+    rest = SymLaurent(dict(poly.coeffs), q)
+    coeffs = {}
+    while rest:
+        i, j = max(rest.coeffs, key=lambda k: (k[0] - k[1], k[0] + k[1]))
+        c = rest.coeffs[(i, j)] * LaurentQ.v_power(j - i, q)
+        coeffs[(i, j)] = c
+        rest = rest - satake_transform(HeckeElement.char(field, (i, j))).scale(c)
+    return HeckeElement(field, coeffs)
+
+
+def schur(a, b, q):
+    " s_{a,b} = sum of Y1^(a-k) Y2^(b+k) over k = 0..a-b; zero when a = b - 1 "
+    return SymLaurent({(a - k, b + k): 1 for k in range((a - b) // 2 + 1)}, q)
+
+
+def random_symlaurent(rng, q):
+    " up to six monomials with v-parts, b in -3..3 and a - b in 0..6 "
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        b = rng.randint(-3, 3)
+        coeffs[(b + rng.randint(0, 6), b)] = LaurentQ(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)), q)
+    return SymLaurent(coeffs, q)
+
+
 @pytest.mark.parametrize("q,key", CASES)
 def test_degree_character(q, key):
     " the transform evaluated at Y = (v, 1/v) counts cosets "
     field = LocalField(q)
     s = satake_transform(HeckeElement.char(field, key))
     v = field.v(1)
-    val = s.evaluate(v, v.inverse())
+    val = naive_evaluate(s, v, v.inverse())
     assert val == LaurentQ(coset_degree(field, key), 0, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_macdonald_formula(q):
+    " S(1_{a,b}) = v^(a-b) (s_{a,b} - q^-1 s_{a-1,b+1}), S(1_{a,a}) = s_{a,a} "
+    field = LocalField(q)
+    for b in (-2, 0, 1):
+        for m in range(7):
+            want = schur(b + m, b, q)
+            if m:
+                want = want - schur(b + m - 1, b + 1, q).scale(Fraction(1, q))
+                want = want.scale(field.v(m))
+            assert satake_transform(HeckeElement.char(field, (b + m, b))) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -228,6 +285,15 @@ def test_inverse_satake_roundtrip(q):
         h = HeckeElement(field, {k: Fraction(rng.randrange(-5, 6), rng.choice([1, 3]))
                                  for k in rng.sample(keys, 4)})
         assert inverse_satake(satake_transform(h)) == h
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_inverse_satake_matches_dominance_oracle(q):
+    rng = random.Random(500 + q)
+    field = LocalField(q)
+    for _ in range(25):
+        poly = random_symlaurent(rng, q)
+        assert inverse_satake(poly) == dominance_inverse(poly, field)
 
 
 def test_inverse_satake_monomial():
@@ -270,6 +336,29 @@ def test_spherical_trace_numeric():
     assert abs(got - 3 ** 0.5 * 2 * cmath.cos(theta).real) < 1e-12
 
 
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_spherical_trace_matches_naive(q):
+    " exact branch against per-monomial powers; numeric branch to 1e-12 "
+    rng = random.Random(300 + q)
+    field = LocalField(q)
+    params = [SatakeParameter.trivial(), SatakeParameter.from_triple(2, 1),
+              SatakeParameter.from_triple(3, 2, conj_pair=False),
+              SatakeParameter(QiNumber(Fraction(1, 2), 2), QiNumber(-3, Fraction(1, 3)))]
+    hs = [inverse_satake(random_symlaurent(rng, q)) for _ in range(6)]
+    hs.append(HeckeElement(field, {(1, -2): LaurentQ(1, 1, q), (-1, -1): 3}))
+    for h in hs:
+        s = satake_transform(h)
+        for sp in params:
+            got = spherical_trace(h, sp)
+            assert got == naive_evaluate(s, sp.alpha, sp.beta)
+            num = spherical_trace(h, SatakeParameter(complex(sp.alpha), complex(sp.beta)))
+            assert abs(num - complex(got)) <= 1e-12 * max(1.0, abs(complex(got)))
+    zero = HeckeElement(field)
+    for sp in params:
+        assert spherical_trace(zero, sp) == QiV(0, 0, q)
+        assert spherical_trace(zero, SatakeParameter(complex(sp.alpha), complex(sp.beta))) == 0
+
+
 def test_trace_is_linear_and_multiplicative():
     field = LocalField(5)
     sp = SatakeParameter.from_triple(3, 2)
@@ -310,7 +399,17 @@ def test_symlaurent_str():
     assert str(s) == "v*(Y1 + Y2)"
 
 
+@pytest.mark.parametrize("q", [1, 0, -3, 2.0, "3"])
+def test_bad_q_named(q):
+    with pytest.raises(ValueError, match="q = %r" % (q,)):
+        LocalField(q)
+    with pytest.raises(ValueError, match="q = %r" % (q,)):
+        LaurentQ(1, 1, q)
+
+
 def test_bad_header_rejected():
+    with pytest.raises(ValueError, match="q = 1 "):
+        HeckeElement.from_text("q 1 kmin 0\n1 0 1\n")
     with pytest.raises(ValueError):
         HeckeElement.from_text("p 3 kmin 0\n1 0 1\n")
     with pytest.raises(ValueError):
