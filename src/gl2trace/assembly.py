@@ -9,6 +9,7 @@ unipotent average Phi; relating them analytically is out of scope.
 """
 
 import itertools
+import math
 import os
 from fractions import Fraction
 
@@ -55,23 +56,61 @@ def _check_pieces(pieces):
     return tuple(out)
 
 
-def _cmp_log(tabs, r):
-    """Sign of log(tabs) - r for rational tabs > 0 and rational r.
-    Equality occurs only at tabs = 1, r = 0 (e^r is irrational for
-    rational r != 0), so precision escalation always terminates."""
+# doublings of the Taylor term count before a comparison gives up
+_MAX_DOUBLINGS = 6
+_LN2_BELOW, _LN2_ABOVE = Fraction(69, 100), Fraction(7, 10)
+
+
+def _exp_bracket(r, terms):
+    """Rationals lo < e^r < hi for rational r != 0.  For r > 0, lo is the
+    Taylor sum of the first `terms` terms and hi adds the tail bound
+    r^N/N! * (N+1)/(N+1-r), N = terms > r, which overshoots, since the
+    tail's later ratios r/(N+k) fall below r/(N+1).  For r < 0 the
+    bracket of e^-r is inverted."""
+    a = abs(r)
+    p, q = a.numerator, a.denominator
+    # Horner: num/den = 1 + a/1 (1 + a/2 (... (1 + a/(N-1)))), in integers,
+    # which leaves den = q^(N-1) (N-1)!, so q^N N! = q N den
+    num = den = 1
+    for k in range(terms - 1, 0, -1):
+        num, den = den * q * k + num * p, den * q * k
+    lo = Fraction(num, den)
+    n1 = terms + 1
+    hi = lo + Fraction(p ** terms * n1, terms * den * (n1 * q - p))
+    return (lo, hi) if r > 0 else (1 / hi, 1 / lo)
+
+
+def _cmp_log(tabs, r, brackets=None):
+    """Sign of log(tabs) - r for rational tabs > 0 and rational r, exact.
+    Bit lengths place log(tabs) within ln 2 of k ln 2, which settles most
+    pairs; the rest compare tabs with a bracket lo < e^r < hi, tightened
+    by doubling its Taylor term count.  Equality occurs only at tabs = 1,
+    r = 0 (e^r is irrational for rational r != 0), so a tie just means
+    more terms.  `brackets` maps r to (terms, lo, hi) and keeps the
+    tightest bracket across calls."""
     if tabs == 1:
         return 0 if r == 0 else (-1 if r > 0 else 1)
     if r == 0:
         return 1 if tabs > 1 else -1
-    import mpmath  # loaded on first use: most commands never need it
-    for dps in (40, 80, 160, 320, 640):
-        with mpmath.workdps(dps):
-            d = (mpmath.log(mpmath.mpf(tabs.numerator))
-                 - mpmath.log(mpmath.mpf(tabs.denominator))
-                 - mpmath.mpf(r.numerator) / r.denominator)
-            if abs(d) > mpmath.mpf(10) ** (-(dps // 2)):
-                return 1 if d > 0 else -1
-    raise ExactnessError("cannot separate log(%s) from %s" % (tabs, r))
+    # 2^(k-1) < tabs < 2^(k+1)
+    k = tabs.numerator.bit_length() - tabs.denominator.bit_length()
+    if r >= (k + 1) * (_LN2_ABOVE if k >= -1 else _LN2_BELOW):
+        return -1
+    if r <= (k - 1) * (_LN2_BELOW if k >= 1 else _LN2_ABOVE):
+        return 1
+    first = 2 * math.ceil(abs(r)) + 16
+    if brackets is None:
+        brackets = {}
+    if r not in brackets:
+        brackets[r] = (first,) + _exp_bracket(r, first)
+    terms, lo, hi = brackets[r]
+    while lo < tabs < hi:
+        if terms >= first << _MAX_DOUBLINGS:
+            raise ExactnessError("cannot separate log(%s) from %s" % (tabs, r))
+        terms *= 2
+        lo, hi = _exp_bracket(r, terms)
+        brackets[r] = (terms, lo, hi)
+    return 1 if tabs >= hi else -1
 
 
 class ArchProfile:
@@ -82,6 +121,7 @@ class ArchProfile:
     def __init__(self, pos=(), neg=()):
         self.pos = _check_pieces(pos)
         self.neg = _check_pieces(neg)
+        self._brackets = {}   # breakpoint r -> (terms, lo, hi), lo < e^r < hi
 
     def pieces(self, sign):
         return self.pos if sign > 0 else self.neg
@@ -99,7 +139,8 @@ class ArchProfile:
 
     def _piece_at(self, tabs, sign):
         for lo, hi, coeffs in self.pieces(sign):
-            if _cmp_log(tabs, lo) >= 0 and _cmp_log(tabs, hi) < 0:
+            if (_cmp_log(tabs, lo, self._brackets) >= 0
+                    and _cmp_log(tabs, hi, self._brackets) < 0):
                 return coeffs
         return None
 
@@ -182,6 +223,13 @@ class GlobalTestFunction:
                 raise ValueError("Hecke factor at %s lives over q = %s"
                                  % (p, h.field.q))
         self.hecke = hecke
+        self._torus_rows = None
+
+    def torus_rows(self):
+        " torus_support(self), built on first use; the data is not changed later "
+        if self._torus_rows is None:
+            self._torus_rows = torus_support(self)
+        return self._torus_rows
 
     @property
     def finite_places(self):
@@ -251,7 +299,7 @@ def torus_support(f):
 def one_dim_geometric(f, constants=None):
     " (volK^2 / volGbar) * sum of f(diag(t,1)) over the torus support "
     c = constants or NormalizationConstants()
-    total = sum((fv for _, fv, _ in torus_support(f)), Fraction(0))
+    total = sum((fv for _, fv, _ in f.torus_rows()), Fraction(0))
     return c.vol_k ** 2 / c.vol_gbar * total
 
 
@@ -327,7 +375,7 @@ def _require_residual_places(f):
 
 def residual_geometric(f):
     " -(1/4) * sum of Phi(diag(t,1)) over the torus support "
-    total = sum((pv for _, _, pv in torus_support(f)), Fraction(0))
+    total = sum((pv for _, _, pv in f.torus_rows()), Fraction(0))
     return -Fraction(1, 4) * total
 
 
@@ -337,7 +385,7 @@ def residual_breakdown(f):
     the local Hilbert symbols (c_d, t)_v, each computed independently."""
     _require_residual_places(f)
     sg = class_group_mod_squares(f.places)
-    rows = torus_support(f)
+    rows = f.torus_rows()
     out = []
     for ch in sg.quad_chars:
         s = Fraction(0)
@@ -366,7 +414,7 @@ def correction_term(f, constants=None):
     scale = c.vol_k ** 2 / c.vol_gbar
     rows = []
     total = Fraction(0)
-    for t, fv, pv in torus_support(f):
+    for t, fv, pv in f.torus_rows():
         quarter = Fraction(1, 4) * pv
         one = scale * fv
         rows.append((t, quarter, one, quarter - one))

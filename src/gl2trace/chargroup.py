@@ -10,7 +10,6 @@ evaluation goes through exact Hilbert symbols place by place.
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 INF_PLACE = "inf"
@@ -67,12 +66,10 @@ class CycloNumber:
         raise AttributeError("CycloNumber is immutable")
 
     @classmethod
-    def from_buckets(cls, L, buckets):
-        " sum of c * zeta^e over an {exponent: rational} dict, one reduction "
-        poly = [Fraction(0)] * L
-        for e, c in buckets.items():
-            poly[e % L] += Fraction(c)
-        return cls(L, _cyclo_reduce(L, poly))
+    def from_buckets(cls, L, buckets, scale=1):
+        """scale * (sum of buckets[e] * zeta^e) for a list of L integers
+        indexed by exponent: one integer reduction, one rescaling"""
+        return cls(L, (c * scale for c in _cyclo_reduce(L, buckets)))
 
     @classmethod
     def rational(cls, L, c):
@@ -81,7 +78,9 @@ class CycloNumber:
 
     @classmethod
     def zeta(cls, L, k=1):
-        return cls.from_buckets(L, {k: 1})
+        buckets = [0] * L
+        buckets[k % L] = 1
+        return cls.from_buckets(L, buckets)
 
     def _coerce(self, other):
         if isinstance(other, CycloNumber):
@@ -172,18 +171,19 @@ class CycloNumber:
 
 
 def _cyclo_reduce(L, poly):
+    """poly mod the L-th cyclotomic polynomial, padded to its degree; exact
+    over any coefficient type, and integer coefficients stay integers"""
     phi = cyclotomic_poly(L)
     deg = len(phi) - 1
-    work = [Fraction(c) for c in poly]
+    # phi is monic: x^deg = -(the lower terms), and most of them are 0
+    lower = [(j - deg, a) for j, a in enumerate(phi[:deg]) if a]
+    work = list(poly)
     for k in range(len(work) - 1, deg - 1, -1):
         c = work[k]
         if c:
-            work[k] = Fraction(0)
-            for j in range(deg + 1):
-                work[k - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+            for j, a in lower:
+                work[k + j] -= c * a
+    return tuple(work[:deg]) + (0,) * (deg - len(work))
 
 
 # -- finite abelian groups ---------------------------------------------
@@ -192,16 +192,19 @@ def _cyclo_reduce(L, poly):
 class FiniteAbelianGroup:
     """Product of cyclic groups; elements are exponent tuples."""
 
-    __slots__ = ("orders", "labels")
+    __slots__ = ("orders", "labels", "_exponent")
 
     def __init__(self, orders, labels=None):
         orders = tuple(int(n) for n in orders)
-        assert all(n >= 1 for n in orders)
+        for n in orders:
+            if n < 1:
+                raise ValueError("cyclic order %d is not >= 1" % n)
         if labels is not None:
             labels = tuple(labels)
             assert len(labels) == len(orders)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_exponent", math.lcm(*orders))
 
     def __setattr__(self, *_):
         raise AttributeError("FiniteAbelianGroup is immutable")
@@ -215,10 +218,7 @@ class FiniteAbelianGroup:
 
     @property
     def exponent(self):
-        out = 1
-        for n in self.orders:
-            out = out * n // math.gcd(out, n)
-        return out
+        return self._exponent
 
     def identity(self):
         return (0,) * len(self.orders)
@@ -311,15 +311,12 @@ class GroupFunction:
         return self.values[g]
 
 
-def fourier(f, psi):
-    """F(psi) = sum over g of f(g) * conj(psi(g)), exact; accumulated in
-    zeta-exponent buckets with a single cyclotomic reduction."""
-    L = f.group.exponent
-    buckets = {}
-    for g in f.group.elements():
-        e = (-psi.zeta_exponent(g)) % L
-        buckets[e] = buckets.get(e, Fraction(0)) + _to_fraction(f(g))
-    return CycloNumber.from_buckets(L, buckets)
+def _integer_values(f):
+    """(D, values times D as ints, in element order), D the least common
+    denominator of the values"""
+    vals = [_to_fraction(v) for v in f.values.values()]
+    den = math.lcm(*(v.denominator for v in vals))
+    return den, [v.numerator * (den // v.denominator) for v in vals]
 
 
 def _to_fraction(v):
@@ -328,13 +325,27 @@ def _to_fraction(v):
     raise TypeError("fourier needs rational function values, got %r" % (v,))
 
 
-def fourier_cyclo(f, psi):
-    " fourier for functions with cyclotomic values "
-    L = f.group.exponent
-    total = CycloNumber.rational(L, 0)
-    for g in f.group.elements():
-        total = total + f(g) * psi(g).conj()
-    return total
+def _add_character(buckets, ints, group, exps):
+    """buckets[e] += ints[g] wherever conj(psi(g)) = zeta_L^e, for the
+    character psi with exponents exps; ints in element order"""
+    L = group.exponent
+    expo = [0]
+    for a, n in zip(exps, group.orders):
+        w = -a * (L // n)
+        steps = [k * w for k in range(n)]
+        expo = [(e + s) % L for e in expo for s in steps]
+    for e, v in zip(expo, ints):
+        buckets[e] += v
+
+
+def fourier(f, psi):
+    """F(psi) = sum over g of f(g) * conj(psi(g)), exact: the values,
+    scaled to integers, accumulate in zeta-exponent buckets, and one
+    integer reduction mod the cyclotomic polynomial follows."""
+    den, ints = _integer_values(f)
+    buckets = [0] * f.group.exponent
+    _add_character(buckets, ints, f.group, psi.exps)
+    return CycloNumber.from_buckets(f.group.exponent, buckets, Fraction(1, den))
 
 
 def subgroup_generated(group, gens):
@@ -343,7 +354,9 @@ def subgroup_generated(group, gens):
     frontier = [group.identity()]
     gens = [tuple(g) for g in gens]
     for g in gens:
-        assert group.contains(g), "generator outside the group"
+        if not group.contains(g):
+            raise ValueError("generator %s is not an element of the group %s"
+                             % (",".join(map(str, g)), group.orders))
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -355,10 +368,11 @@ def subgroup_generated(group, gens):
 
 
 def _as_subgroup(group, spec):
-    " explicit element collection; must be an actual subgroup "
+    """explicit element collection, which must be an actual subgroup;
+    returns (its sorted elements, a generating list)"""
     elems = {tuple(e) for e in spec}
     if not elems:
-        return (group.identity(),)
+        return (group.identity(),), []
     for e in elems:
         if not group.contains(e):
             raise ValueError("element %s outside the group" % (e,))
@@ -373,30 +387,38 @@ def _as_subgroup(group, spec):
             span = set(subgroup_generated(group, gens))
     if span != elems:
         raise ValueError("subgroup spec is not closed")
-    return tuple(sorted(elems))
+    return tuple(sorted(elems)), gens
 
 
-def annihilator(group, subgroup_elems):
-    " characters trivial on the subgroup "
-    return [psi for psi in characters(group)
-            if all(psi.zeta_exponent(h) == 0 for h in subgroup_elems)]
+def annihilator(group, gens):
+    """characters trivial on the subgroup that gens generate: a character
+    is trivial there exactly when it is trivial on each generator, so any
+    list of the subgroup's elements serves as gens too"""
+    L = group.exponent
+    weights = [L // n for n in group.orders]
+    gens = [[w * x for w, x in zip(weights, h)] for h in gens]
+    return [GroupCharacter(group, a) for a in group.elements()
+            if all(sum(x * y for x, y in zip(a, h)) % L == 0 for h in gens)]
 
 
 def poisson_check(group, subgroup_spec, f):
     """Finite Poisson summation: returns the two sides
     (sum of f over H, |H|/|G| times the sum of fourier(f) over the
-    annihilator of H); they agree as exact cyclotomic numbers."""
+    annihilator of H); they agree as exact cyclotomic numbers.  Fourier
+    is linear, so the buckets of every annihilator character go into one
+    integer list, reduced and rescaled once."""
     if not isinstance(f, GroupFunction):
         f = GroupFunction(group, f)
-    H = _as_subgroup(group, subgroup_spec)
+    H, gens = _as_subgroup(group, subgroup_spec)
     L = group.exponent
     lhs = Fraction(0)
     for h in H:
         lhs += _to_fraction(f(h))
-    rhs = CycloNumber.rational(L, 0)
-    for psi in annihilator(group, H):
-        rhs = rhs + fourier(f, psi)
-    rhs = rhs * Fraction(len(H), group.order)
+    den, ints = _integer_values(f)
+    buckets = [0] * L
+    for psi in annihilator(group, gens):
+        _add_character(buckets, ints, group, psi.exps)
+    rhs = CycloNumber.from_buckets(L, buckets, Fraction(len(H), den * group.order))
     return CycloNumber.rational(L, lhs), rhs
 
 
@@ -521,16 +543,14 @@ def normalize_places(S):
         if v in (INF_PLACE, "oo", "real", 0):
             out.append(INF_PLACE)
         else:
-            p = int(v)
-            assert p >= 2
-            out.append(p)
+            out.append(int(v))
     out = sorted(set(out), key=_places_key)
-    assert out and out[0] == INF_PLACE, "place set must contain the archimedean place"
+    if not out or out[0] != INF_PLACE:
+        raise ValueError("place set %s lacks the archimedean place %s"
+                         % (",".join(map(str, out)), INF_PLACE))
     for p in out[1:]:
-        d = 2
-        while d * d <= p:
-            assert p % d, "finite places must be primes"
-            d += 1
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError("place %d is not a prime" % p)
     return out
 
 
@@ -842,23 +862,35 @@ def project_to_D(t, sgroup):
 
 
 def parse_group_function(text):
-    " 'group n1 n2 ...' header plus 'f e1,e2,... value' lines "
+    """'group n1 n2 ...' header plus 'f e1,e2,... value' lines; a bad line
+    raises ValueError naming its line number"""
     group = None
     values = {}
-    for ln in text.splitlines():
+    for num, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         toks = ln.split()
-        if toks[0] == "group":
-            group = FiniteAbelianGroup(int(x) for x in toks[1:])
-        elif toks[0] == "f":
-            assert group is not None, "group line must come first"
-            elem = tuple(int(x) for x in toks[1].split(","))
-            values[elem] = Fraction(toks[2])
-        else:
-            raise ValueError("bad line: %r" % ln)
-    assert group is not None, "missing group line"
+        try:
+            if toks[0] == "group":
+                group = FiniteAbelianGroup(int(x) for x in toks[1:])
+            elif toks[0] == "f" and len(toks) == 3:
+                if group is None:
+                    raise ValueError("the group line must come first")
+                elem = tuple(int(x) for x in toks[1].split(","))
+                if not group.contains(elem):
+                    raise ValueError("element %s is not in the group %s"
+                                     % (toks[1], group.orders))
+                values[elem] = Fraction(toks[2])
+            else:
+                raise ValueError("want 'group n1 n2 ...' or 'f e1,e2,... value'")
+        except ZeroDivisionError:
+            raise ValueError("line %d %r: value %s has denominator 0"
+                             % (num, ln, toks[2])) from None
+        except ValueError as e:
+            raise ValueError("line %d %r: %s" % (num, ln, e)) from None
+    if group is None:
+        raise ValueError("missing group line")
     return group, GroupFunction(group, values)
 
 

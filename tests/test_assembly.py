@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from gl2trace import assembly
 from gl2trace.assembly import (ArchProfile, ExactnessError,
                                GlobalTestFunction, NormalizationConstants,
+                               _cmp_log, _exp_bracket,
                                cartan_discrepancy, correction_term,
                                format_cartan_report, format_correction_report,
                                format_pieces, intertwining_constant,
@@ -22,6 +24,33 @@ from gl2trace.hecke import HeckeElement, LocalField
 from gl2trace.rings import LaurentQ
 
 INF = "inf"
+
+
+def mp_cmp_log(tabs, r):
+    """oracle for _cmp_log: log(tabs) - r in mpmath at escalating
+    precision, trusted once it clears half the working digits"""
+    if tabs == 1:
+        return 0 if r == 0 else (-1 if r > 0 else 1)
+    if r == 0:
+        return 1 if tabs > 1 else -1
+    import mpmath
+    for dps in (40, 80, 160, 320, 640):
+        with mpmath.workdps(dps):
+            d = (mpmath.log(mpmath.mpf(tabs.numerator))
+                 - mpmath.log(mpmath.mpf(tabs.denominator))
+                 - mpmath.mpf(r.numerator) / r.denominator)
+            if abs(d) > mpmath.mpf(10) ** (-(dps // 2)):
+                return 1 if d > 0 else -1
+    raise ExactnessError("cannot separate log(%s) from %s" % (tabs, r))
+
+
+def exp_rational(r, digits):
+    " a rational within 10^-digits of e^r, relative "
+    import mpmath
+    with mpmath.workdps(digits + 20):
+        return Fraction(mpmath.nstr(mpmath.exp(mpmath.mpf(r.numerator) / r.denominator),
+                                    digits + 10, min_fixed=-mpmath.inf,
+                                    max_fixed=mpmath.inf))
 
 
 def wide_profiles():
@@ -71,6 +100,81 @@ def test_profile_nonconstant_piece():
         p.value_at(Fraction(2))
     approx = p.value_at(Fraction(2), numeric=True)
     assert abs(approx - math.log(2)) < 1e-12
+
+
+# -- exact log comparison ---------------------------------------------
+
+
+BREAKPOINTS = [Fraction(k, d) for k in (-41, -7, -3, -1, 1, 2, 5, 13)
+               for d in (1, 2, 3)] + [Fraction(20), Fraction(-20), Fraction(45, 2),
+                                      Fraction(-61, 3)]
+
+
+def test_exp_bracket_contains_exp():
+    for r in BREAKPOINTS:
+        for terms in (2 * math.ceil(abs(r)) + 16, 4 * math.ceil(abs(r)) + 40):
+            lo, hi = _exp_bracket(r, terms)
+            e = exp_rational(r, 400)        # finer than the narrowest bracket
+            assert 0 < lo < hi and lo < e < hi, (r, terms)
+
+
+def test_cmp_log_corners():
+    assert _cmp_log(Fraction(1), Fraction(0)) == 0
+    for r in (Fraction(1, 3), Fraction(-1, 3), Fraction(20), Fraction(-20)):
+        assert _cmp_log(Fraction(1), r) == (-1 if r > 0 else 1)
+    for t in (Fraction(2), Fraction(1, 2), Fraction(10 ** 40 + 1, 10 ** 40)):
+        assert _cmp_log(t, Fraction(0)) == (1 if t > 1 else -1)
+    # far breakpoints and far points settle by bit length, with no series
+    assert _cmp_log(Fraction(3), Fraction(10 ** 6)) == -1
+    assert _cmp_log(Fraction(1, 3), Fraction(-10 ** 6)) == 1
+    assert _cmp_log(Fraction(2 ** 10000), Fraction(6931, 1000)) == 1
+    assert _cmp_log(Fraction(1, 2 ** 10000), Fraction(-6931, 1000)) == -1
+
+
+def test_cmp_log_matches_oracle():
+    " wide pairs, negative r and |r| >= 20, against the mpmath oracle "
+    import random
+    rng = random.Random(53)
+    ts = [Fraction(a, b) for a in (1, 2, 3, 7, 10 ** 9, 2 ** 70, 3 ** 40)
+          for b in (1, 5, 12, 10 ** 9, 2 ** 70)]
+    ts += [Fraction(rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12))
+           for _ in range(60)]
+    brackets = {}
+    for r in BREAKPOINTS:
+        for t in ts:
+            want = mp_cmp_log(t, r)
+            assert _cmp_log(t, r) == want, (t, r)
+            assert _cmp_log(t, r, brackets) == want, (t, r)
+
+
+def test_cmp_log_near_ties():
+    " t within 1e-30 of e^r on either side forces the bracket to tighten "
+    for r in BREAKPOINTS:
+        e = exp_rational(r, 60)
+        for t in (e * (1 + Fraction(1, 10 ** 31)), e * (1 - Fraction(1, 10 ** 31)),
+                  e + Fraction(1, 10 ** 45), e - Fraction(1, 10 ** 45)):
+            brackets = {}
+            got = _cmp_log(t, r, brackets)
+            assert got == mp_cmp_log(t, r) == (1 if t > e else -1), (t, r)
+            terms, lo, hi = brackets[r]
+            assert terms > 2 * math.ceil(abs(r)) + 16 and not lo < t < hi
+
+
+def test_cmp_log_gives_up_at_the_cap(monkeypatch):
+    monkeypatch.setattr(assembly, "_MAX_DOUBLINGS", 0)
+    r = Fraction(1, 2)
+    t = exp_rational(r, 60)
+    with pytest.raises(ExactnessError, match="cannot separate"):
+        _cmp_log(t, r)
+
+
+def test_profile_brackets_kept():
+    p = ArchProfile(pos=((Fraction(1, 2), 1, [5]),))
+    t = exp_rational(Fraction(1, 2), 60) * (1 + Fraction(1, 10 ** 31))
+    assert p.value_at(t) == 5
+    terms = p._brackets[Fraction(1, 2)][0]
+    assert p.value_at(t) == 5 and p._brackets[Fraction(1, 2)][0] == terms
+    assert p.value_at(exp_rational(Fraction(1, 2), 60) * (1 - Fraction(1, 10 ** 31))) == 0
 
 
 def test_profile_validation():
@@ -130,6 +234,51 @@ def test_support_v_part_rejected():
                            f_profile=f, phi_profile=phi)
     with pytest.raises(ExactnessError):
         torus_support(g)
+
+
+def count_n_integrals(monkeypatch):
+    calls = []
+    real = assembly.n_integral
+
+    def counted(h, m1, m2):
+        calls.append((h.field.q, m1, m2))
+        return real(h, m1, m2)
+    monkeypatch.setattr(assembly, "n_integral", counted)
+    return calls
+
+
+def test_assemble_one_torus_pass(monkeypatch, tmp_path, capsys):
+    " every sum of assemble reads one set of torus rows "
+    from gl2trace.cli import run
+    h2 = HeckeElement.char(LocalField(2), (1, 0)) + HeckeElement.char(LocalField(2), (0, -1))
+    h3 = HeckeElement.char(LocalField(3), (1, 1)) + HeckeElement.unit(LocalField(3))
+    (tmp_path / "h2.hecke").write_text(h2.to_text())
+    (tmp_path / "h3.hecke").write_text(h3.to_text())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("places = inf,2,3\nhecke_2 = h2.hecke\nhecke_3 = h3.hecke\n"
+                   "f_pos = -2:2:3\nf_neg = -1:1:5\n"
+                   "phi_pos = -2:2:1/2\nphi_neg = -1:1:7\n")
+    grid = len(assembly._torus_exponents(h2)) * len(assembly._torus_exponents(h3))
+    calls = count_n_integrals(monkeypatch)
+    assert run(["assemble", "--config", str(cfg), "--base-dir", str(tmp_path)]) == 0
+    assert "residual_spectral" in capsys.readouterr().out
+    assert len(calls) == 2 * grid      # one Phi value per place per grid point
+
+
+def test_torus_rows_per_function(monkeypatch):
+    " a second function built apart gets its own rows, not the first one's "
+    calls = count_n_integrals(monkeypatch)
+    f1, f2 = char_k_fn(), t2_fn()
+    rows1 = f1.torus_rows()
+    n1 = len(calls)
+    assert rows1 == torus_support(char_k_fn()) and n1 > 0
+    del calls[n1:]
+    assert f1.torus_rows() is rows1 and len(calls) == n1
+    rows2 = f2.torus_rows()
+    assert rows2 == [(2, 3, Fraction(1, 2)), (-2, 5, 7)] != rows1
+    assert len(calls) > n1
+    assert one_dim_geometric(f2) == 8 and residual_geometric(f2) == -Fraction(15, 8)
+    assert f2.torus_rows() is rows2 and f1.torus_rows() is rows1
 
 
 def test_test_function_validation():

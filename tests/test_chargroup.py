@@ -8,14 +8,44 @@ import pytest
 
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,
                                 GroupCharacter, GroupFunction, QuadChar,
-                                characters, class_group_mod_squares,
-                                cyclotomic_poly, format_group_function,
-                                fourier, fourier_cyclo, hilbert_symbol,
+                                annihilator, characters,
+                                class_group_mod_squares, cyclotomic_poly,
+                                format_group_function, fourier, hilbert_symbol,
                                 kronecker, legendre, parse_group_function,
                                 poisson_check, project_to_D, quad_char_eval,
                                 sample_poisson_triple, subgroup_generated)
 
 INF = "inf"
+
+
+def fourier_cyclo(f, psi):
+    """naive oracle for fourier, also for cyclotomic values: one exact
+    product f(g) * conj(psi(g)) per element, summed one at a time"""
+    L = f.group.exponent
+    total = CycloNumber.rational(L, 0)
+    for g in f.group.elements():
+        total = total + f(g) * psi(g).conj()
+    return total
+
+
+def naive_annihilator(group, H):
+    " characters tested against every element of H "
+    return [psi for psi in characters(group)
+            if all(psi.zeta_exponent(h) == 0 for h in H)]
+
+
+def mixed_function(rng, group):
+    " rational values over assorted denominators, zeros included "
+    dens = (1, 2, 3, 4, 5, 7, 9, 16, 25, 27)
+    return GroupFunction(group, {e: Fraction(rng.randint(-30, 30), rng.choice(dens))
+                                 for e in group.elements()})
+
+
+def numeric_fourier(f, psi):
+    " the character sum in floating point, by complex exponentials "
+    L = f.group.exponent
+    return sum(float(f(g)) * cmath.exp(-2j * cmath.pi * psi.zeta_exponent(g) / L)
+               for g in f.group.elements())
 
 
 # -- cyclotomics --------------------------------------------------------
@@ -115,6 +145,69 @@ def test_fourier_double_is_reflection():
         assert val == g.order * f(g.neg(x))
 
 
+# composite exponents L = 12, 18, 48 and 12 again over three factors
+ORACLE_GROUPS = [(4, 3), (2, 9), (16, 3), (2, 6, 4)]
+
+
+@pytest.mark.parametrize("orders", ORACLE_GROUPS)
+def test_fourier_matches_oracle(orders):
+    g = FiniteAbelianGroup(orders)
+    rng = random.Random(sum(orders))
+    zero = GroupFunction(g, lambda e: 0)
+    f = mixed_function(rng, g)
+    for psi in characters(g):
+        assert fourier(zero, psi) == 0
+        got = fourier(f, psi)
+        assert got == fourier_cyclo(f, psi), psi
+        assert abs(complex(got) - numeric_fourier(f, psi)) < 1e-9
+
+
+def test_fourier_l720_matches_oracle():
+    g = FiniteAbelianGroup((16, 9, 5))
+    assert g.exponent == 720
+    f = mixed_function(random.Random(720), g)
+    faithful = GroupCharacter(g, (3, 2, 4))
+    assert fourier(f, faithful) == fourier_cyclo(f, faithful)
+    for exps in [(0, 0, 0), (8, 0, 0), (1, 3, 0), (5, 7, 1)]:
+        psi = GroupCharacter(g, exps)
+        assert abs(complex(fourier(f, psi)) - numeric_fourier(f, psi)) < 1e-8
+    # H = G: the annihilator is the trivial character alone
+    H = subgroup_generated(g, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    lhs, rhs = poisson_check(g, H, f)
+    assert lhs == rhs == fourier_cyclo(f, GroupCharacter(g, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("orders", ORACLE_GROUPS)
+def test_poisson_matches_oracle(orders):
+    " both sides against per-character oracle sums, for H = {0}, a proper H and H = G "
+    g = FiniteAbelianGroup(orders)
+    rng = random.Random(len(orders) * 100 + orders[0])
+    unit = tuple(1 if i == 0 else 0 for i in range(len(orders)))
+    subgroups = [[g.identity()], subgroup_generated(g, [g.add(unit, unit)]),
+                 list(g.elements())]
+    for f in (mixed_function(rng, g), GroupFunction(g, lambda e: 0)):
+        for H in subgroups:
+            lhs, rhs = poisson_check(g, H, f)
+            want = CycloNumber.rational(g.exponent, 0)
+            for psi in naive_annihilator(g, H):
+                want = want + fourier_cyclo(f, psi)
+            assert rhs == want * Fraction(len(H), g.order)
+            assert lhs == rhs == sum((f(h) for h in H), Fraction(0))
+
+
+def test_annihilator_from_generators():
+    " testing the generators alone finds the same characters "
+    rng = random.Random(12)
+    for orders in [(4, 6), (2, 2, 4), (3, 9), (8,)]:
+        g = FiniteAbelianGroup(orders)
+        for _ in range(6):
+            gens = [tuple(rng.randrange(n) for n in orders)
+                    for _ in range(rng.randint(0, 2))]
+            H = subgroup_generated(g, gens)
+            assert annihilator(g, gens) == naive_annihilator(g, H)
+            assert len(annihilator(g, gens)) * len(H) == g.order
+
+
 def test_poisson_frozen_z4():
     g = FiniteAbelianGroup((4,))
     f = GroupFunction(g, lambda e: 1 if e == (0,) else 0)
@@ -161,6 +254,30 @@ def test_group_text_roundtrip():
     g2, f2 = parse_group_function(format_group_function(f))
     assert g2 == g
     assert all(f2(e) == f(e) for e in g.elements())
+
+
+BAD_GROUP_FILES = [
+    ("group 2\nf 0 1\nf 1 1/0\n", "line 3 'f 1 1/0': value 1/0 has denominator 0"),
+    ("group 2\nf 0 1\nf 1 1\nf 5 1\n", "line 4 'f 5 1': element 5 is not in the group (2,)"),
+    ("group 0\n", "line 1 'group 0': cyclic order 0 is not >= 1"),
+    ("# no header\nf 0 1\n", "line 2 'f 0 1': the group line must come first"),
+    ("# nothing\n", "missing group line"),
+    ("group 2\nf 0\n", "line 2 'f 0': want"),
+    ("group 2\nf 0,x 1\n", "line 2 'f 0,x 1': invalid literal"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_GROUP_FILES)
+def test_bad_group_function_named(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_group_function(text)
+    assert str(err.value).startswith(message)
+
+
+def test_subgroup_generator_outside_group():
+    g = FiniteAbelianGroup((2,))
+    with pytest.raises(ValueError, match="generator 7 is not an element"):
+        subgroup_generated(g, [(7,)])
 
 
 # -- arithmetic symbols -------------------------------------------------
@@ -265,10 +382,12 @@ def test_class_group_inf_2_3_5():
 def test_place_normalization():
     g = class_group_mod_squares([3, "inf", 2])
     assert g.places == [INF, 2, 3]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="archimedean place inf"):
         class_group_mod_squares([2, 3])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="place 4 is not a prime"):
         class_group_mod_squares([INF, 4])
+    with pytest.raises(ValueError, match="place 1 is not a prime"):
+        class_group_mod_squares([INF, 1])
 
 
 def test_project_examples():

@@ -203,7 +203,35 @@ BAD_VALUES = [
       "--N", "8", "--fit", "1,1"], "q = 1"),
     (["orbital-zeta", "--q", "2", "--gamma", "1,0", "--r", "std",
       "--N", "-1", "--fit", "1,1"], "--N -1"),
+    (["class-group", "--places", "inf,4"], "place 4 is not a prime"),
+    (["class-group", "--places", "3,5"], "lacks the archimedean place inf"),
 ]
+
+
+def bad_file_values(tmp_path):
+    " (argv, named value) for group-function files and subgroups that are wrong "
+    cases = []
+    for i, (text, value) in enumerate([
+            ("group 2\nf 0 1\nf 1 1/0\n", "line 3 'f 1 1/0'"),
+            ("group 2\nf 0 1\nf 1 1\nf 5 1\n", "line 4 'f 5 1'"),
+            ("group 0\n", "cyclic order 0"),
+            ("f 0 1\n", "group line must come first"),
+            ("# empty\n", "missing group line")]):
+        path = tmp_path / ("bad%d.fn" % i)
+        path.write_text(text)
+        cases.append((["poisson", "--f", str(path)], value))
+    good = tmp_path / "good.fn"
+    good.write_text("group 2\nf 0 1\nf 1 1\n")
+    cases.append((["poisson", "--f", str(good), "--subgroup", "7"], "generator 7"))
+    return cases
+
+
+def test_bad_files_named(tmp_path, capsys):
+    for argv, value in bad_file_values(tmp_path):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and value in err, (argv, err)
+        assert "dual side" not in out
 
 
 @pytest.mark.parametrize("argv, value", BAD_VALUES)
@@ -218,7 +246,8 @@ def test_bad_value_named_under_optimize(tmp_path):
     " input checks are exceptions, so they survive python -O "
     hecke = tmp_path / "q1.hecke"
     hecke.write_text("q 1 kmin 0\n1 0 1\n")
-    cases = BAD_VALUES + [(["satake", "--q", "2", "--in", str(hecke)], "q = 1")]
+    cases = (BAD_VALUES + bad_file_values(tmp_path)
+             + [(["satake", "--q", "2", "--in", str(hecke)], "q = 1")])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(gl2trace.__file__)))
     code = ("import contextlib, io, json, sys\n"
