@@ -184,8 +184,11 @@ def parse_pieces(text):
         bits = part.strip().split(":")
         if len(bits) != 3:
             raise ValueError("bad piece %r (want lo:hi:c0,c1,...)" % part)
-        out.append((Fraction(bits[0]), Fraction(bits[1]),
-                    [Fraction(c) for c in bits[2].split(",")]))
+        try:
+            out.append((Fraction(bits[0]), Fraction(bits[1]),
+                        [Fraction(c) for c in bits[2].split(",")]))
+        except ZeroDivisionError:
+            raise ValueError("piece %r has a denominator 0" % part) from None
     return tuple(out)
 
 
@@ -224,12 +227,19 @@ class GlobalTestFunction:
                                  % (p, h.field.q))
         self.hecke = hecke
         self._torus_rows = None
+        self._class_group = None
 
     def torus_rows(self):
         " torus_support(self), built on first use; the data is not changed later "
         if self._torus_rows is None:
             self._torus_rows = torus_support(self)
         return self._torus_rows
+
+    def class_group(self):
+        " class_group_mod_squares(self.places), built on first use "
+        if self._class_group is None:
+            self._class_group = class_group_mod_squares(self.places)
+        return self._class_group
 
     @property
     def finite_places(self):
@@ -322,7 +332,7 @@ def one_dim_spectral(f, constants=None):
     product of exact local group integrals of f * conj(chi)(det), times
     the sign-decomposed Phi-profile mass at infinity."""
     c = constants or NormalizationConstants()
-    sg = class_group_mod_squares(f.places)
+    sg = f.class_group()
     mp_ = f.phi_profile.mass(1)
     mm = f.phi_profile.mass(-1)
     total = Fraction(0)
@@ -384,7 +394,7 @@ def residual_breakdown(f):
     of Phi(t) * psi_d(t), where psi_d(t) is the product over v in S of
     the local Hilbert symbols (c_d, t)_v, each computed independently."""
     _require_residual_places(f)
-    sg = class_group_mod_squares(f.places)
+    sg = f.class_group()
     rows = f.torus_rows()
     out = []
     for ch in sg.quad_chars:
@@ -442,7 +452,9 @@ def numeric_verify(s_small):
     """Completed-zeta ratio xi(1-s)/xi(1+s) at s = s_small; tends to -1
     as s -> 0 (ratio of the simple poles at 0 and 1)."""
     s = float(s_small)
-    assert s > 0
+    if not s > 0:
+        raise ValueError("s = %s is not > 0: the ratio is taken as s -> 0+"
+                         % s_small)
     import mpmath
     with mpmath.workdps(50):
         def xi(x):
@@ -497,8 +509,11 @@ def load_config(text, base_dir="."):
     for key in list(values):
         p = int(key[len("hecke_"):])
         path = os.path.join(base_dir, values.pop(key))
-        with open(path) as fh:
-            hecke[p] = HeckeElement.from_text(fh.read())
+        try:
+            with open(path) as fh:
+                hecke[p] = HeckeElement.from_text(fh.read())
+        except (OSError, ValueError) as e:
+            raise ValueError("%s %s: %s" % (key, path, e)) from None
     gtf = GlobalTestFunction(places, hecke=hecke, f_profile=f_profile,
                              phi_profile=phi_profile)
     return gtf, constants

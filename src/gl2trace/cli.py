@@ -45,8 +45,11 @@ def _read(path):
 
 def _write_out(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _Usage(str(e))
     else:
         sys.stdout.write(text)
 
@@ -133,9 +136,10 @@ def _cmd_orbital(args):
     m1, m2 = _int_pair(args.gamma, "--gamma")
     gamma = SplitClass.from_data(LocalField(args.q), m1, m2, args.d)
     val = split_orbital(h, gamma)
+    if args.depth is not None:   # before any output: a bad depth exits 2
+        oracle = tree_orbital_oracle(h, gamma, args.depth)
     print("orbital\t%s" % _fmt(val, args.as_float))
     if args.depth is not None:
-        oracle = tree_orbital_oracle(h, gamma, args.depth)
         print("oracle\t%s" % _fmt(oracle, args.as_float))
         if oracle != val:
             print("FAIL tree oracle at depth %d disagrees" % args.depth)
@@ -165,6 +169,8 @@ def _cmd_orbital_zeta(args):
 
 def _cmd_phi_check(args):
     field = LocalField(args.q)
+    if args.dmax < 1:
+        raise _Usage("--dmax %d checks no point: it must be >= 1" % args.dmax)
     if args.infile:
         hs = [_load_hecke(args.infile, args.q)]
     else:
@@ -284,63 +290,81 @@ def _cmd_estimate_mr(args):
     return OK
 
 
+# -- command table ------------------------------------------------------
+
+
+_Q = {"type": int, "required": True}
+_IN = {"dest": "infile", "help": "Hecke element file"}
+_CONFIG = {"config": {"required": True}, "base_dir": {"default": "."}}
+
+# name -> (handler, {flag: add_argument keywords}), in usage order.
+# "required" and "default" are applied by run() after --config has filled
+# unset flags, so a config file may supply a required value or override a
+# default; "type" also converts config values, which arrive as text.
+COMMANDS = {
+    "satake": (_cmd_satake, {"q": _Q, "out": {},
+                             "in": dict(_IN, required=True)}),
+    "convolve": (_cmd_convolve, {"q": _Q, "in2": {"required": True}, "out": {},
+                                 "in": dict(_IN, required=True)}),
+    "basic-fn": (_cmd_basic_fn, {"q": _Q, "r": {"required": True},
+                                 "n": {"type": int, "required": True},
+                                 "out": {}}),
+    "l-factor": (_cmd_l_factor, {"q": _Q, "r": {"required": True},
+                                 "triple": {"default": "2,1"},
+                                 "check": {"type": int}}),
+    "orbital": (_cmd_orbital, {"q": _Q, "gamma": {"required": True},
+                               "d": {"type": int}, "depth": {"type": int},
+                               "in": dict(_IN, required=True)}),
+    "orbital-zeta": (_cmd_orbital_zeta, {
+        "q": _Q, "r": {"required": True}, "gamma": {"required": True},
+        "d": {"type": int},
+        "N": {"dest": "order", "type": int, "required": True},
+        "fit": {"required": True}}),
+    "phi-check": (_cmd_phi_check, {"q": _Q, "dmax": {"type": int, "default": 3},
+                                   "in": _IN}),
+    "poisson": (_cmd_poisson, {"group": {},
+                               "f": {"required": True,
+                                     "help": "group function file"},
+                               "subgroup": {"help": "generators e1,e2;e1,e2"}}),
+    "class-group": (_cmd_class_group, {"places": {"required": True}}),
+    "assemble": (_cmd_assemble, _CONFIG),
+    "cartan-report": (_cmd_cartan_report, {"out": {}, **_CONFIG}),
+    "intertwine": (_cmd_intertwine, {"s_grid": {"default": "1e-2,1e-3,1e-4"},
+                                     "tol": {"type": float, "default": 1e-3}}),
+    "tau": (_cmd_tau, {"x": {"type": int, "required": True}, "out": {}}),
+    "estimate-mr": (_cmd_estimate_mr, {"x": {"type": int, "required": True},
+                                       "r": {"default": "sym2"},
+                                       "n_grid": {"required": True}, "out": {}}),
+}
+
+
 # -- parser -------------------------------------------------------------
 
 
-def _build_parser():
+def _build_parser(argv):
+    """The top-level parser.  When argv starts with a command, as every
+    real call does, only that command's subparser is built; help, a
+    missing or an unknown command get all of them."""
     top = argparse.ArgumentParser(prog="gl2trace", description=__doc__)
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **flags):
+    if argv and argv[0] in COMMANDS:
+        names = argv[:1]
+        # the usage printed for unrecognized arguments still lists them all
+        sub = top.add_subparsers(dest="cmd", required=True,
+                                 metavar="{%s}" % ",".join(COMMANDS))
+    else:
+        names = COMMANDS
+        sub = top.add_subparsers(dest="cmd", required=True)
+    for name in names:
+        flags = COMMANDS[name][1]
         p = sub.add_parser(name)
-        needed = []
         for flag, spec in flags.items():
-            spec = dict(spec)
-            if spec.pop("required", False):
-                # deferred so a --config file may supply the value
-                needed.append(spec.get("dest", flag))
-            p.add_argument("--" + flag.replace("_", "-"), **spec)
-        p.set_defaults(handler=fn, needed=tuple(needed))
+            kw = {k: v for k, v in spec.items()
+                  if k not in ("required", "default")}
+            p.add_argument("--" + flag.replace("_", "-"), **kw)
         if "config" not in flags:
             p.add_argument("--config", help="key = value defaults for flags")
         p.add_argument("--float", dest="as_float", action="store_true",
                        help="decimal output instead of exact")
-        return p
-
-    q = {"type": int, "required": True}
-    infile = {"dest": "infile", "help": "Hecke element file"}
-    add("satake", _cmd_satake, q=q, out={},
-        **{"in": dict(infile, required=True)})
-    add("convolve", _cmd_convolve, q=q, in2={"required": True}, out={},
-        **{"in": dict(infile, required=True)})
-    add("basic-fn", _cmd_basic_fn, q=q, r={"required": True},
-        n={"type": int, "required": True}, out={})
-    add("l-factor", _cmd_l_factor, q=q, r={"required": True},
-        triple={"default": "2,1"}, check={"type": int})
-    add("orbital", _cmd_orbital, q=q, gamma={"required": True},
-        d={"type": int}, depth={"type": int},
-        **{"in": dict(infile, required=True)})
-    add("orbital-zeta", _cmd_orbital_zeta, q=q, r={"required": True},
-        gamma={"required": True}, d={"type": int},
-        N={"dest": "order", "type": int, "required": True},
-        fit={"required": True})
-    add("phi-check", _cmd_phi_check, q=q,
-        dmax={"type": int, "default": 3}, **{"in": dict(infile)})
-    add("poisson", _cmd_poisson, group={},
-        f={"required": True, "help": "group function file"},
-        subgroup={"help": "generators e1,e2;e1,e2"},
-    )
-    add("class-group", _cmd_class_group, places={"required": True})
-    add("assemble", _cmd_assemble,
-        **{"config": {"required": True}, "base_dir": {"default": "."}})
-    add("cartan-report", _cmd_cartan_report, out={},
-        **{"config": {"required": True}, "base_dir": {"default": "."}})
-    add("intertwine", _cmd_intertwine,
-        s_grid={"default": "1e-2,1e-3,1e-4"},
-        tol={"type": float, "default": 1e-3})
-    add("tau", _cmd_tau, x={"type": int, "required": True}, out={})
-    add("estimate-mr", _cmd_estimate_mr, x={"type": int, "required": True},
-        r={"default": "sym2"}, n_grid={"required": True}, out={})
     return top
 
 
@@ -358,37 +382,36 @@ def _apply_config(args):
         if not eq:
             raise _Usage("bad config line: %r" % ln)
         key, val = key.strip().replace("-", "_"), val.strip()
-        if key in ("cmd", "handler", "config", "needed") or key not in known:
+        if key in ("cmd", "config") or key not in known:
             raise _Usage("unknown config key: %r" % key)
-        if known[key] in (None, False):
-            cur = known[key]
-            setattr(args, key,
-                    val if cur is None else val.lower() in ("1", "true", "yes"))
+        cur = known[key]
+        if cur is None:
+            setattr(args, key, val)
+        elif cur is False:
+            setattr(args, key, val.lower() in ("1", "true", "yes"))
 
 
 def run(argv=None):
-    top = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = top.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else USAGE
+    handler, flags = COMMANDS[args.cmd]
+    dests = [(spec.get("dest", flag), spec) for flag, spec in flags.items()]
     try:
         _apply_config(args)
-        # config may have provided string values for typed flags
-        for k, v in list(vars(args).items()):
-            if k in ("n", "x", "d", "depth", "check", "dmax", "q",
-                     "order") and isinstance(v, str):
-                setattr(args, k, int(v))
-            if k == "tol" and isinstance(v, str):
-                setattr(args, k, float(v))
-        for k in args.needed:
-            if getattr(args, k) is None:
-                raise _Usage("missing a value for %r" % k)
-        return args.handler(args)
-    except _Usage as e:
-        print("error: %s" % e, file=sys.stderr)
-        return USAGE
-    except (ValueError, AssertionError) as e:
+        for dest, spec in dests:
+            value = getattr(args, dest)
+            if "type" in spec and isinstance(value, str):
+                setattr(args, dest, spec["type"](value))
+            elif value is None and "default" in spec:
+                setattr(args, dest, spec["default"])
+        for dest, spec in dests:
+            if spec.get("required") and getattr(args, dest) is None:
+                raise _Usage("missing a value for %r" % dest)
+        return handler(args)
+    except (ValueError, AssertionError) as e:   # _Usage is a ValueError
         print("error: %s" % e, file=sys.stderr)
         return USAGE
 

@@ -197,26 +197,40 @@ class HeckeElement:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty Hecke element file")
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "q" or head[2] != "kmin":
-            raise ValueError("bad header: %r" % lines[0])
-        q, kmin = int(head[1]), int(head[3])
-        field = LocalField(q)
-        coeffs = {}
-        for ln in lines[1:]:
+        """A 'q Q kmin K' header, then one 'a b c_K c_(K+1) ...' line per
+        coset with coefficient sum of c_k v^k; a bad line raises
+        ValueError naming its line number."""
+        field, coeffs = None, {}
+        for num, ln in enumerate(text.splitlines(), 1):
             toks = ln.split()
-            if len(toks) < 3:
-                raise ValueError("bad coset line: %r" % ln)
-            key = (int(toks[0]), int(toks[1]))
-            powers = {kmin + k: Fraction(t) for k, t in enumerate(toks[2:])}
-            c = LaurentQ.from_powers(powers, q)
-            if key in coeffs:
-                raise ValueError("duplicate coset %s" % (key,))
-            coeffs[key] = c
+            if not toks:
+                continue
+            try:
+                if field is None:
+                    if len(toks) != 4 or toks[0] != "q" or toks[2] != "kmin":
+                        raise ValueError("bad header: want 'q Q kmin K'")
+                    field, kmin = LocalField(int(toks[1])), int(toks[3])
+                    continue
+                if len(toks) < 3:
+                    raise ValueError("bad coset line: want 'a b c ...'")
+                key = _check_key((int(toks[0]), int(toks[1])))
+                if key in coeffs:
+                    raise ValueError("duplicate coset %s" % (key,))
+                powers = {kmin + k: _coefficient(t)
+                          for k, t in enumerate(toks[2:])}
+                coeffs[key] = LaurentQ.from_powers(powers, field.q)
+            except ValueError as e:
+                raise ValueError("line %d %r: %s" % (num, ln.strip(), e)) from None
+        if field is None:
+            raise ValueError("empty Hecke element file")
         return cls(field, coeffs)
+
+
+def _coefficient(tok):
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError("coefficient %s has denominator 0" % tok) from None
 
 
 def convolve(h1, h2):
@@ -320,29 +334,27 @@ class SymLaurent:
     def scale(self, c):
         return SymLaurent({k: v * c for k, v in self.coeffs.items()}, self.q)
 
-    def _full(self):
-        " expand to a plain {(i, j): coeff} dict over both orderings "
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[(i, j)] = c
-            if i != j:
-                out[(j, i)] = c
-        return out
-
     def __mul__(self, other):
+        """Product on canonical keys, one coefficient product per pair.
+        (Y1^i1 Y2^j1 + sym)(Y1^i2 Y2^j2 + sym) has the canonical term
+        (i1+i2, j1+j2) and, when both factors are off the diagonal, the
+        cross term (i1+j2, j1+i2) up to order, which lands twice on a
+        diagonal key."""
         if not isinstance(other, SymLaurent):
             return self.scale(other)
         q = self.q if self.q is not None else other.q
-        full = {}
-        f2 = other._full()
-        for (i1, j1), c1 in self._full().items():
-            for (i2, j2), c2 in f2.items():
-                k = (i1 + i2, j1 + j2)
-                full[k] = full.get(k, 0) + c1 * c2
         out = {}
-        for (i, j), c in full.items():
-            if i >= j:
-                out[(i, j)] = c
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                c = c1 * c2
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + c
+                if i1 != j1 and i2 != j2:
+                    a, b = i1 + j2, j1 + i2
+                    if a == b:
+                        c = c + c
+                    k = (a, b) if a >= b else (b, a)
+                    out[k] = out.get(k, 0) + c
         return SymLaurent(out, q)
 
     __rmul__ = scale

@@ -165,7 +165,10 @@ def tree_orbital_oracle(h, gamma, depth):
     explicit matrices diag-plus-shear, one per unipotent coset with
     denominator exponent at most depth.  Warns when the truncation has
     not stabilized."""
-    assert gamma.regular and depth >= 0
+    if depth < 0:
+        raise ValueError("tree depth = %d is negative: it counts denominator "
+                         "exponents >= 0" % depth)
+    assert gamma.regular
     assert gamma.t1 is not None, "oracle needs explicit rational entries"
     q = h.field.q
     t1, t2 = gamma.t1, gamma.t2
@@ -251,7 +254,9 @@ def rational_reconstruct(series, degN, degD):
     solution with free unknowns set to zero; only inconsistency or a
     failed certification is a failure.
     """
-    assert degN >= 0 and degD >= 0
+    if degN < 0 or degD < 0:
+        raise ValueError("fit degrees (%d, %d) include a negative degree"
+                         % (degN, degD))
     window = degN + degD + 1
     if series.order + 1 < 2 * window:
         raise ValueError(

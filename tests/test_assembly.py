@@ -265,6 +265,32 @@ def test_assemble_one_torus_pass(monkeypatch, tmp_path, capsys):
     assert len(calls) == 2 * grid      # one Phi value per place per grid point
 
 
+def test_assemble_one_class_group(monkeypatch, tmp_path, capsys):
+    " the S-class group and its Hilbert-symbol dual are built once per assemble "
+    from gl2trace import cli
+    (tmp_path / "h3.hecke").write_text(
+        HeckeElement.char(LocalField(3), (1, 1)).to_text())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("places = inf,2,3\nhecke_3 = h3.hecke\n"
+                   "phi_pos = -2:2:1/2\nphi_neg = -1:1:7\n")
+    cfg, base = str(cfg), str(tmp_path)
+    builds = []
+    real = assembly.class_group_mod_squares
+
+    def counted(places):
+        builds.append(tuple(places))
+        return real(places)
+    monkeypatch.setattr(assembly, "class_group_mod_squares", counted)
+    assert cli.run(["assemble", "--config", cfg, "--base-dir", base]) == 0
+    assert builds == [("inf", 2, 3)]
+    # the FAIL path breaks the residual down once more, on the same group
+    del builds[:]
+    monkeypatch.setattr(cli, "residual_geometric", lambda f: Fraction(7))
+    assert cli.run(["assemble", "--config", cfg, "--base-dir", base]) == 1
+    assert "FAIL residual sides differ" in capsys.readouterr().out
+    assert builds == [("inf", 2, 3)]
+
+
 def test_torus_rows_per_function(monkeypatch):
     " a second function built apart gets its own rows, not the first one's "
     calls = count_n_integrals(monkeypatch)
@@ -504,4 +530,7 @@ def test_load_config_errors(tmp_path):
     (tmp_path / "bad.hk").write_text(h3.to_text())
     with pytest.raises(ValueError):
         load_config("places = inf,2\nhecke_2 = bad.hk",
+                    base_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="hecke_2 .*missing.hk: .*No such file"):
+        load_config("places = inf,2\nhecke_2 = missing.hk",
                     base_dir=str(tmp_path))

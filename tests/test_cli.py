@@ -1,5 +1,6 @@
 """Exit codes, report formats, and determinism of the command line."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import gl2trace
+from gl2trace import cli
 from gl2trace.chargroup import (FiniteAbelianGroup, GroupFunction,
                                 format_group_function)
 from gl2trace.cli import run
@@ -205,6 +207,10 @@ BAD_VALUES = [
       "--N", "-1", "--fit", "1,1"], "--N -1"),
     (["class-group", "--places", "inf,4"], "place 4 is not a prime"),
     (["class-group", "--places", "3,5"], "lacks the archimedean place inf"),
+    (["orbital-zeta", "--q", "2", "--gamma", "1,0", "--r", "std",
+      "--N", "12", "--fit=-1,2"], "fit degrees (-1, 2)"),
+    (["phi-check", "--q", "3", "--dmax", "0"], "--dmax 0"),
+    (["intertwine", "--s-grid", "1e-2,0"], "s = 0.0"),
 ]
 
 
@@ -223,6 +229,25 @@ def bad_file_values(tmp_path):
     good = tmp_path / "good.fn"
     good.write_text("group 2\nf 0 1\nf 1 1\n")
     cases.append((["poisson", "--f", str(good), "--subgroup", "7"], "generator 7"))
+    cases.append((["tau", "--x", "30", "--out", str(tmp_path / "no" / "t.csv")],
+                  "No such file or directory"))
+    for i, (text, value) in enumerate([
+            ("q 3 kmin 0\n1 0 1/0\n", "line 2 '1 0 1/0': coefficient 1/0"),
+            ("q 3 kmin 0\n\n1.5 0 1\n", "line 3 '1.5 0 1'")]):
+        path = tmp_path / ("bad%d.hecke" % i)
+        path.write_text(text)
+        cases.append((["satake", "--q", "3", "--in", str(path)], value))
+    good = tmp_path / "t3.hecke"
+    good.write_text("q 3 kmin 0\n1 0 1\n")
+    cases.append((["orbital", "--q", "3", "--gamma", "1,0", "--in", str(good),
+                   "--depth", "-1"], "depth = -1"))
+    for i, (text, value) in enumerate([
+            ("places = inf,2,3\nhecke_3 = bad0.hecke\n", "line 2 '1 0 1/0'"),
+            ("places = inf,2\nf_pos = -2:2:1/0\n", "piece '-2:2:1/0'")]):
+        path = tmp_path / ("bad%d.cfg" % i)
+        path.write_text(text)
+        cases.append((["assemble", "--config", str(path),
+                       "--base-dir", str(tmp_path)], value))
     return cases
 
 
@@ -281,6 +306,101 @@ def test_config_defaults(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("x = 30\nbogus = 1\n")
     assert run(["tau", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv, line, value", [
+    (["l-factor", "--q", "2", "--r", "std"], "check = abc", "'abc'"),
+    (["intertwine"], "tol = x", "'x'"),
+    (["tau"], "x = 3.5", "'3.5'"),
+])
+def test_config_value_typed(argv, line, value, tmp_path, capsys):
+    " a config value goes through its flag's type, and a bad one is named "
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(argv + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and value in err
+    assert out == ""
+
+
+def count_phi_transforms(monkeypatch):
+    calls = []
+    real = cli.phi_transform
+
+    def counted(h, a):
+        calls.append(a.m1)
+        return real(h, a)
+    monkeypatch.setattr(cli, "phi_transform", counted)
+    return calls
+
+
+def test_config_overrides_default(tmp_path, monkeypatch, capsys):
+    " a config value replaces a flag's default; an explicit flag beats both "
+    calls = count_phi_transforms(monkeypatch)
+    cfg = tmp_path / "phi.cfg"
+    cfg.write_text("dmax = 4\n")
+    assert run(["phi-check", "--q", "5", "--config", str(cfg)]) == 0
+    assert "relation verified" in capsys.readouterr().out
+    assert max(calls) == 4 and len(calls) == 3 * 4
+    del calls[:]
+    assert run(["phi-check", "--q", "5", "--config", str(cfg), "--dmax", "2"]) == 0
+    assert max(calls) == 2
+    del calls[:]
+    assert run(["phi-check", "--q", "5"]) == 0
+    assert max(calls) == 3
+    # an explicit 0 is a value, not an unset switch for the config to fill
+    cfg.write_text("check = 1\n")
+    assert run(["l-factor", "--q", "2", "--r", "std", "--check", "0",
+                "--config", str(cfg)]) == 0
+    assert "identity verified to order 0" in capsys.readouterr().out
+
+
+def run_captured(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def cli_paths():
+    " argv lists for every help and usage-error path of the parser "
+    paths = [[], ["--help"], ["nope"], ["-h", "tau"], ["tau", "--x", "10", "--bogus"]]
+    for name, (_, flags) in cli.COMMANDS.items():
+        paths.append([name, "--help"])
+        if any(spec.get("required") for spec in flags.values()):
+            paths.append([name])            # missing a required flag
+    return paths
+
+
+def test_one_command_parser_matches_full(monkeypatch, capsys):
+    " building only the named subparser changes no output and no exit code "
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = cli_paths()
+    assert len(paths) == 5 + 14 + 13
+    one = [run_captured(argv, capsys) for argv in paths]
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: full_parser([]))
+    full = [run_captured(argv, capsys) for argv in paths]
+    for argv, a, b in zip(paths, one, full):
+        assert a == b, argv
+    assert [code for code, _, _ in one[:5]] == [2, 0, 2, 0, 2]
+    assert "{satake,convolve,basic-fn," in one[4][2]
+    assert one[4][2].endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_valid_command_builds_one_subparser(monkeypatch, capsys):
+    names = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kw):
+        names.append(name)
+        return real(self, name, **kw)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(["tau", "--x", "30"]) == 0
+    assert names == ["tau"]
+    del names[:]
+    assert run(["--help"]) == 0
+    assert names == list(cli.COMMANDS)
+    capsys.readouterr()
 
 
 def test_usage_errors(capsys):

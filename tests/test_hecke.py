@@ -253,6 +253,45 @@ def random_symlaurent(rng, q):
     return SymLaurent(coeffs, q)
 
 
+def naive_product(p1, p2):
+    """Expand both factors over both orderings of every key, multiply
+    monomial by monomial and keep the keys with i >= j."""
+    def full(p):
+        out = {}
+        for (i, j), c in p.coeffs.items():
+            out[(i, j)] = out[(j, i)] = c
+        return out
+    prod = {}
+    for (i1, j1), c1 in full(p1).items():
+        for (i2, j2), c2 in full(p2).items():
+            k = (i1 + i2, j1 + j2)
+            prod[k] = prod.get(k, 0) + c1 * c2
+    return SymLaurent({k: c for k, c in prod.items() if k[0] >= k[1]},
+                      p1.q if p1.q is not None else p2.q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, None])
+def test_symlaurent_product_matches_naive(q):
+    " diagonal keys, negative exponents, v-parts, and q = None constants "
+    rng = random.Random(900 + (q or 0))
+    for _ in range(40):
+        if q is None:
+            p1, p2 = (SymLaurent({(rng.randint(-2, 4), rng.randint(-4, -2)):
+                                  Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                  for _ in range(rng.randint(0, 4))})
+                      for _ in range(2))
+        else:
+            p1, p2 = random_symlaurent(rng, q), random_symlaurent(rng, q)
+        assert p1 * p2 == naive_product(p1, p2) == p2 * p1
+    one = SymLaurent.one()
+    assert (one * one).coeffs == {(0, 0): LaurentQ(1)}
+    # (Y1 + Y2)^2 = (Y1^2 + Y2^2) + 2 Y1 Y2: the cross term lands twice
+    y = SymLaurent({(1, 0): 1})
+    assert y * y == SymLaurent({(2, 0): 1, (1, 1): 2})
+    d = SymLaurent({(1, 1): LaurentQ(0, 1, 3), (0, -2): LaurentQ(2, -1, 3)}, 3)
+    assert d * SymLaurent.one(3) == d == SymLaurent.one() * d
+
+
 @pytest.mark.parametrize("q,key", CASES)
 def test_degree_character(q, key):
     " the transform evaluated at Y = (v, 1/v) counts cosets "
