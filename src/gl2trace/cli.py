@@ -273,19 +273,38 @@ def _cmd_tau(args):
         print("FAIL tau(2) = %d from the %s kernel" % (table.ap(2), BACKEND))
         return FAIL
     for p in table.primes():
-        if table.ap(p) ** 2 > 4 * p ** 11:
+        a = table.ap(p)
+        if a * a > 4 * p ** 11:
             print("FAIL tau(%d) = %d breaks Deligne's bound tau(p)^2 <= 4p^11"
-                  % (p, table.ap(p)))
+                  % (p, a))
+            return FAIL
+        if (a - 1 - pow(p, 11, 691)) % 691:
+            print("FAIL tau(%d) = %d breaks Ramanujan's congruence "
+                  "tau(p) = 1 + p^11 mod 691" % (p, a))
             return FAIL
     _write_out(args, table.to_csv())
     return OK
 
 
+def _n_grid(text, x):
+    " the --n-grid integers, each at most the table bound x + 1 "
+    ns = []
+    for bit in text.split(","):
+        try:
+            ns.append(int(bit))
+        except ValueError:
+            raise _Usage("--n-grid wants comma-separated integers, got %r"
+                         % bit)
+        if ns[-1] > x + 1:
+            raise _Usage("--n-grid value n = %d exceeds the table bound "
+                         "x + 1 = %d" % (ns[-1], x + 1))
+    return ns
+
+
 def _cmd_estimate_mr(args):
-    table = delta_qexpansion(args.x)
     rep = parse_weighting(args.r)
-    ns = [int(n) for n in args.n_grid.split(",")]
-    rows = estimator_series(rep, table, ns)
+    ns = _n_grid(args.n_grid, args.x)
+    rows = estimator_series(rep, delta_qexpansion(args.x), ns)
     _write_out(args, format_estimates(rows))
     return OK
 

@@ -6,6 +6,7 @@ unitary normalization a_p / p^((k-1)/2) is not, so the module works in
 complex doubles and reports trends rather than asserting limits.
 """
 
+import bisect
 import cmath
 import math
 
@@ -30,7 +31,9 @@ class EigenTable:
     every prime below the bound."""
 
     def __init__(self, label, weight, ap, bound=None):
-        assert isinstance(weight, int) and weight >= 1
+        if not isinstance(weight, int) or weight < 1:
+            raise ValueError("weight = %r is not a positive integer"
+                             % (weight,))
         self.label = str(label)
         self.weight = weight
         self.level = 1
@@ -205,22 +208,28 @@ def mr_estimator(r, table, n):
     """Average of log(p) tr(r(c_p)) over primes p < n; the candidate
     pole-order value of the partial L-function of r.  n may not exceed
     the table bound, so every prime below n is in the table."""
-    if n > table.bound:
-        raise ValueError("n = %s exceeds the table bound %d" % (n, table.bound))
-    ps = table.primes(below=n)
-    if not ps:
-        raise ValueError("no primes below %s in the table" % n)
-    terms = []
-    for p in ps:
-        c = satake_from_ap(table, p)
-        # log measure weight against the real part of the trace
-        terms.append(math.log(p) * complex(_trace_of(r, c.alpha, c.beta)).real)
-    return pairwise_sum(terms) / len(ps)
+    return estimator_series(r, table, [n])[0][1]
 
 
 def estimator_series(r, table, ns):
-    " rows (n, mr_estimator at n) for trend inspection "
-    return [(n, mr_estimator(r, table, n)) for n in ns]
+    """Rows (n, mr_estimator at n) for trend inspection.  Each prime's
+    term is computed once, for the largest n; every row is the pairwise
+    sum of a prefix of those terms, so it equals mr_estimator at n."""
+    ps = table.primes()
+    counts = []
+    for n in ns:
+        if n > table.bound:
+            raise ValueError("n = %s exceeds the table bound %d"
+                             % (n, table.bound))
+        counts.append(bisect.bisect_left(ps, n))
+        if not counts[-1]:
+            raise ValueError("no primes below %s in the table" % n)
+    terms = []
+    for p in ps[:max(counts, default=0)]:
+        c = satake_from_ap(table, p)
+        # log measure weight against the real part of the trace
+        terms.append(math.log(p) * complex(_trace_of(r, c.alpha, c.beta)).real)
+    return [(n, pairwise_sum(terms[:k]) / k) for n, k in zip(ns, counts)]
 
 
 def format_estimates(rows):
@@ -240,7 +249,8 @@ def residue_estimator(r, table, s_grid):
     rows = []
     for s in s_grid:
         s = float(s)
-        assert s > 1
+        if not s > 1:
+            raise ValueError("s = %r is not above 1" % s)
         x = min(64, top)
         prev = partial_euler(r, table, s, x)
         while x < top:

@@ -182,6 +182,34 @@ def test_tau_deligne_failure(monkeypatch, capsys):
     assert "FAIL tau(5) = 1000000000" in capsys.readouterr().out
 
 
+def test_tau_congruence_failure(monkeypatch, capsys):
+    " tau(5) = 4831 passes Deligne's bound; the mod-691 congruence catches it "
+    from gl2trace import spectral
+    good = spectral.tau_table
+
+    def forged(x):
+        t = good(x)
+        assert t[4] == 4830
+        t[4] = 4831                                  # tau(5)
+        return t
+    monkeypatch.setattr(spectral, "tau_table", forged)
+    assert 4831 ** 2 <= 4 * 5 ** 11
+    assert run(["tau", "--x", "30"]) == 1
+    out = capsys.readouterr().out
+    assert out == ("FAIL tau(5) = 4831 breaks Ramanujan's congruence "
+                   "tau(p) = 1 + p^11 mod 691\n")
+
+
+@pytest.mark.parametrize("grid", ["100,abc", "50,1000"])
+def test_estimate_mr_grid_checked_before_kernel(grid, monkeypatch, capsys):
+    from gl2trace import spectral
+    calls = []
+    monkeypatch.setattr(spectral, "tau_table", calls.append)
+    assert run(["estimate-mr", "--x", "100", "--n-grid", grid]) == 2
+    assert capsys.readouterr().err.startswith("error: --n-grid ")
+    assert calls == []
+
+
 def test_estimate_mr_csv(capsys):
     from gl2trace.basicfn import RepSpec
     from gl2trace.spectral import (delta_qexpansion, estimator_series,
@@ -211,6 +239,12 @@ BAD_VALUES = [
       "--N", "12", "--fit=-1,2"], "fit degrees (-1, 2)"),
     (["phi-check", "--q", "3", "--dmax", "0"], "--dmax 0"),
     (["intertwine", "--s-grid", "1e-2,0"], "s = 0.0"),
+    (["estimate-mr", "--x", "10000", "--n-grid", "100,abc"],
+     "--n-grid wants comma-separated integers, got 'abc'"),
+    (["estimate-mr", "--x", "10000", "--n-grid", "100,10002"],
+     "--n-grid value n = 10002 exceeds the table bound x + 1 = 10001"),
+    (["estimate-mr", "--x", "10000", "--r", "spin7", "--n-grid", "100"],
+     "unknown representation 'spin7'"),
 ]
 
 

@@ -1,17 +1,23 @@
 """Eigenvalue tables, Satake normalization, Euler products, estimators."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import gl2trace
+from gl2trace import kernels
 from gl2trace.basicfn import RepSpec, truncated_basic_identity
 from gl2trace.kernels import tau_table
-from gl2trace.spectral import (AdjointProxy, EigenTable, delta_qexpansion,
-                               estimator_series, format_estimates,
-                               load_eigentable, loads_eigentable,
-                               mr_estimator, pairwise_sum, parse_weighting,
-                               partial_euler, primes_below, residue_estimator,
-                               satake_from_ap)
+from gl2trace.spectral import (AdjointProxy, EigenTable, _trace_of,
+                               delta_qexpansion, estimator_series,
+                               format_estimates, load_eigentable,
+                               loads_eigentable, mr_estimator, pairwise_sum,
+                               parse_weighting, partial_euler, primes_below,
+                               residue_estimator, satake_from_ap)
 
 STD = RepSpec(1)
 SYM2 = RepSpec(2)
@@ -52,6 +58,65 @@ def sparse_tau(x):
     return c
 
 
+def eta3_series(x):
+    " first x coefficients of eta^3, from the Jacobi expansion "
+    c = [0] * x
+    k = 0
+    while k * (k + 1) // 2 < x:
+        c[k * (k + 1) // 2] = (2 * k + 1) * (-1) ** k
+        k += 1
+    return c
+
+
+def kronecker_square(c):
+    """First len(c) coefficients of the square of c by one full Kronecker
+    squaring, with slots of (n*m*m).bit_length() + 2 bits (n terms, m the
+    largest |coefficient|): each coefficient is a sum of at most n
+    products of size at most m^2."""
+    n = len(c)
+    m = max(abs(v) for v in c)
+    w = ((n * m * m).bit_length() + 2 + 7) // 8
+    off = 1 << (8 * w - 1)
+    offsets = int.from_bytes(off.to_bytes(w, "little") * n, "little")
+    packed = b"".join((v + off).to_bytes(w, "little") for v in c)
+    a = int.from_bytes(packed, "little") - offsets
+    low = (a * a + offsets) & ((1 << (8 * w * n)) - 1)
+    buf = low.to_bytes(w * n, "little")
+    return [int.from_bytes(buf[i:i + w], "little") - off
+            for i in range(0, w * n, w)]
+
+
+def kronecker_tau(x):
+    " tau(1..x) by three full Kronecker squarings of eta^3 "
+    if x < 1:
+        return []
+    c = eta3_series(x)
+    for _ in range(3):
+        c = kronecker_square(c)
+    return c
+
+
+def width_steps(c):
+    """Every x <= len(c) at which the kernel's slot width for squaring
+    c[:x] grows.  m and S only grow with x, so the width does too, and
+    bisection finds each step."""
+    def width(x):
+        return kernels._slot_bytes(c[:x])
+    steps = []
+    x = 1
+    while width(x) < width(len(c)):
+        a, b = x, len(c)                     # width(a) < width(b)
+        while b - a > 1:
+            mid = (a + b) // 2
+            if width(mid) > width(x):
+                b = mid
+            else:
+                a = mid
+        steps.append(b)
+        x = b
+    return steps
+
+
 def smallest_prime_factor(n):
     p = 2
     while n % p:
@@ -69,6 +134,65 @@ def test_tau_against_brute_expansion():
 @pytest.mark.parametrize("x", [1, 2, 3, 60, 61, 1000, 4097])
 def test_tau_against_sparse_kernel(x):
     assert tau_table(x) == sparse_tau(x)
+
+
+def test_tau_against_sparse_kernel_every_small_x():
+    " both parities of n and the tiny cases, where h = n - h or n = 1 "
+    full = sparse_tau(150)
+    for x in range(1, 151):
+        assert tau_table(x) == full[:x], x
+
+
+def test_tau_at_every_slot_width_step():
+    """Against the full-square oracle on both sides of every x <= 5000
+    where the eta^6 or the eta^12 stage changes its slot width."""
+    top = 5000
+    eta6 = kronecker_square(eta3_series(top))
+    assert kernels._eta6(top) == eta6
+    eta12 = kronecker_square(eta6)
+    xs = set()
+    for c in (eta6, eta12):
+        steps = width_steps(c)
+        assert len(steps) >= 4
+        for x in steps:
+            xs.update((x - 1, x))
+    for x in sorted(xs):
+        assert tau_table(x) == kronecker_tau(x), x
+
+
+def test_square_at_the_slot_bound():
+    """All-equal and alternating series of even length n reach the
+    2 m S bound exactly (|d_(n-1)| = n m^2), so the top slot is filled
+    as far as the width allows; m runs across every byte boundary."""
+    for n in range(1, 13):
+        for m in sorted({2 ** j + d for j in range(48) for d in (-1, 0)}):
+            for sign in (1, -1):
+                c = [m * sign ** i for i in range(n)]
+                want = [sum(c[i] * c[k - i] for i in range(k + 1))
+                        for k in range(n)]
+                arg = list(c)
+                assert kernels._square_truncated(arg) == want, (n, m, sign)
+                assert arg == []
+
+
+def test_slot_widths_at_10k():
+    " the proven 2 m S bound gives 6 and 11 bytes; n m^2 gave 7 and 12 "
+    x = 10 ** 4
+    eta6 = kernels._eta6(x)
+    eta12 = kronecker_square(eta6)
+    assert [kernels._slot_bytes(c) for c in (eta6, eta12)] == [6, 11]
+
+
+def test_tau_kernel_memory():
+    " traced peak of tau_table(10^4), the returned list included "
+    tracemalloc.start()
+    try:
+        tau = tau_table(10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tau) == 10 ** 4
+    assert peak <= 10 ** 6, peak
 
 
 def test_tau_empty():
@@ -244,6 +368,62 @@ def test_estimator_series_csv():
     assert len(lines) == 4
     n, est = lines[1].split(",")
     assert int(n) == 50 and float(est) == rows[0][1]
+
+
+def reference_mr(r, table, n):
+    " the per-n estimator loop: one prime list and one term list per n "
+    if n > table.bound:
+        raise ValueError("n = %s exceeds the table bound %d"
+                         % (n, table.bound))
+    ps = table.primes(below=n)
+    if not ps:
+        raise ValueError("no primes below %s in the table" % n)
+    terms = []
+    for p in ps:
+        c = satake_from_ap(table, p)
+        terms.append(math.log(p) * complex(_trace_of(r, c.alpha, c.beta)).real)
+    return pairwise_sum(terms) / len(ps)
+
+
+@pytest.mark.parametrize("name", ["std", "sym2", "proxy"])
+def test_estimator_series_matches_per_n_loop(name):
+    r = parse_weighting(name)
+    t = delta_qexpansion(1000)
+    grid = [1001, 3, 500, 40, 500, 1000, 4, 3, 997, 998]
+    rows = estimator_series(r, t, grid)
+    assert rows == [(n, reference_mr(r, t, n)) for n in grid]
+    assert [mr_estimator(r, t, n) for n in grid] == [est for _, est in rows]
+    assert estimator_series(r, t, []) == []
+    for bad, value in [([50, 2, 1002], "no primes below 2"),
+                       ([50, 1002, 2], "n = 1002 exceeds")]:
+        with pytest.raises(ValueError, match=value):
+            estimator_series(r, t, bad)
+
+
+def test_spectral_checks_survive_optimize():
+    " named ValueErrors, not asserts, so python -O keeps them "
+    code = ("from gl2trace.basicfn import RepSpec\n"
+            "from gl2trace.spectral import (EigenTable, delta_qexpansion,\n"
+            "                               residue_estimator)\n"
+            "t = delta_qexpansion(100)\n"
+            "for call in (lambda: EigenTable('x', 0, {}, bound=2),\n"
+            "             lambda: EigenTable('x', 1.5, {}, bound=2),\n"
+            "             lambda: residue_estimator(RepSpec(0), t,\n"
+            "                                       [1.5, 1])):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "weight = 0 is not a positive integer",
+            "weight = 1.5 is not a positive integer",
+            "s = 1.0 is not above 1"], flags
 
 
 def test_residue_estimator():
