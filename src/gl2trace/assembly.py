@@ -462,13 +462,6 @@ def numeric_verify(s_small):
         return float(xi(1 - mpmath.mpf(s)) / xi(1 + mpmath.mpf(s)))
 
 
-def uncompleted_zeta_ratio(s):
-    " zeta(1-s)/zeta(1+s); at s = 1 this is zeta(0)/zeta(2) ~ -0.304 "
-    import mpmath
-    with mpmath.workdps(50):
-        return float(mpmath.zeta(1 - mpmath.mpf(s)) / mpmath.zeta(1 + mpmath.mpf(s)))
-
-
 # -- configuration ------------------------------------------------------
 
 

@@ -303,17 +303,6 @@ class RationalFn:
             den = den * t + _to_complex(c)
         return num / den
 
-    def evaluate_exact(self, t):
-        " evaluate at an exact rational t "
-        t = Fraction(t)
-        num = LaurentQ(0)
-        for c in reversed(self.num):
-            num = num * t + c
-        den = LaurentQ(0)
-        for c in reversed(self.den):
-            den = den * t + c
-        return num / den
-
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented

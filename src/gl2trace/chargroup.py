@@ -738,10 +738,6 @@ class SClassGroup:
         " class of the section of an S-unit t in D_S "
         return self.reduce_vector(self.section_vector(t))
 
-    def diagonal_class(self, t):
-        " class of the full diagonal image (trivial by construction) "
-        return self.reduce_vector(self.diagonal_vector(t))
-
     # dual --------------------------------------------------------------
 
     def _build_dual(self):
@@ -851,11 +847,6 @@ def quad_char_eval(chi, t):
 def class_group_mod_squares(S):
     " labeled finite model of the quadratic idele class group at level S "
     return SClassGroup(S)
-
-
-def project_to_D(t, sgroup):
-    " class of the S-unit t in the quotient group "
-    return sgroup.project(Fraction(t))
 
 
 # -- text formats -------------------------------------------------------

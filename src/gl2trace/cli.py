@@ -430,7 +430,7 @@ def run(argv=None):
             if spec.get("required") and getattr(args, dest) is None:
                 raise _Usage("missing a value for %r" % dest)
         return handler(args)
-    except (ValueError, AssertionError) as e:   # _Usage is a ValueError
+    except ValueError as e:   # _Usage is one; an AssertionError is a bug
         print("error: %s" % e, file=sys.stderr)
         return USAGE
 

@@ -8,8 +8,13 @@ vol(O) = 1 for the additive Haar measure.
 The transform to symmetric Laurent polynomials in the dual-torus
 coordinates Y1, Y2 and its inverse are exact; half-integral powers of
 the residue cardinality live in the LaurentQ coefficient ring (v^2 = q).
+
+satake_transform, inverse_satake and the exact SymLaurent.evaluate sum
+integers: the coefficients over one common denominator, divided once per
+output value, so they are exact.  The tests keep ring-arithmetic oracles.
 """
 
+import math
 from fractions import Fraction
 
 from .rings import LaurentQ, QiNumber, QiV
@@ -273,6 +278,33 @@ def convolve(h1, h2):
     return HeckeElement(field, out)
 
 
+def _integer_parts(coeffs):
+    " common denominator D of a + b*v coefficients; per key (a*D, b*D) "
+    den = 1
+    for c in coeffs.values():
+        den = math.lcm(den, c.a.denominator, c.b.denominator)
+    return den, {k: (c.a.numerator * (den // c.a.denominator),
+                     c.b.numerator * (den // c.b.denominator))
+                 for k, c in coeffs.items()}
+
+
+def _gaussian_integer(y):
+    " a Gaussian rational as (z, d): y = z/d, z = (re, im) integers, d > 0 "
+    d = math.lcm(y.re.denominator, y.im.denominator)
+    return (y.re.numerator * (d // y.re.denominator),
+            y.im.numerator * (d // y.im.denominator)), d
+
+
+def _power_table(z, d, e):
+    " [z^k d^(e-k) for k = 0..e], Gaussian integers as (re, im) "
+    out, r, i = [], 1, 0
+    for k in range(e + 1):
+        f = d ** (e - k)
+        out.append((r * f, i * f))
+        r, i = r * z[0] - i * z[1], r * z[1] + i * z[0]
+    return out
+
+
 class SymLaurent:
     """Symmetric Laurent polynomial in Y1, Y2 with LaurentQ coefficients.
 
@@ -360,12 +392,17 @@ class SymLaurent:
     __rmul__ = scale
 
     def evaluate(self, y1, y2):
-        """Substitute Y1 = y1, Y2 = y2 and v = +sqrt(q): Gaussian
-        rationals (QiNumber) give an exact QiV, complex numbers a complex.
-        Powers come from one table per variable over the exponent range;
-        the rational and v-parts of the coefficients are summed apart."""
+        """Substitute Y1 = y1, Y2 = y2 and v = +sqrt(q).  Gaussian
+        rationals (QiNumber; nonzero if an exponent is negative) give an
+        exact QiV: with y = z/d, z a Gaussian integer, each monomial is
+        (y1 y2)^lo times a Gaussian integer over d1^e d2^e (lo the least
+        exponent, e the span), so the sum is integral over one common
+        denominator, divided once.  Complex numbers give a complex, from
+        one power table per variable."""
         lo = min((j for (_, j) in self.coeffs), default=0)
         hi = max((i for (i, _) in self.coeffs), default=0)
+        if isinstance(y1, QiNumber):
+            return self._evaluate_exact(y1, y2, lo, hi)
         p1, p2 = [y1 ** lo], [y2 ** lo]
         for _ in range(hi - lo):
             p1.append(p1[-1] * y1)
@@ -378,9 +415,35 @@ class SymLaurent:
             rat = c.a * term + rat
             if c.b:
                 irr = c.b * term + irr
-        if isinstance(y1, QiNumber):
-            return QiV(rat, irr, self.q)
         return complex(rat + irr * self.q ** 0.5 if irr else rat)
+
+    def _evaluate_exact(self, y1, y2, lo, hi):
+        (z1, d1), (z2, d2) = _gaussian_integer(y1), _gaussian_integer(y2)
+        e = hi - lo
+        t1, t2 = _power_table(z1, d1, e), _power_table(z2, d2, e)
+        den, parts = _integer_parts(self.coeffs)
+        rr = ri = vr = vi = 0   # rational and v-parts, real and imaginary
+        for (i, j), (ca, cb) in parts.items():
+            i, j = i - lo, j - lo
+            (a1, b1), (a2, b2) = t1[i], t2[j]
+            tr, ti = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            if i != j:
+                (a1, b1), (a2, b2) = t1[j], t2[i]
+                tr, ti = tr + a1 * a2 - b1 * b2, ti + a1 * b2 + b1 * a2
+            rr, ri = rr + ca * tr, ri + ca * ti
+            vr, vi = vr + cb * tr, vi + cb * ti
+        # (y1 y2)^lo = (z1 z2)^lo / (d1 d2)^lo = w / m, w Gaussian, m > 0
+        zr, zi = z1[0] * z2[0] - z1[1] * z2[1], z1[0] * z2[1] + z1[1] * z2[0]
+        d = d1 * d2
+        if lo >= 0:
+            (wr, wi), m = _power_table((zr, zi), 1, lo)[-1], d ** lo
+        else:   # (z/d)^-k = (d conj(z))^k / |z|^(2k)
+            (wr, wi) = _power_table((d * zr, -d * zi), 1, -lo)[-1]
+            m = (zr * zr + zi * zi) ** -lo
+        n = m * den * d1 ** e * d2 ** e
+        return QiV(QiNumber(Fraction(wr * rr - wi * ri, n), Fraction(wr * ri + wi * rr, n)),
+                   QiNumber(Fraction(wr * vr - wi * vi, n), Fraction(wr * vi + wi * vr, n)),
+                   self.q)
 
     def __str__(self):
         if not self.coeffs:
@@ -463,20 +526,31 @@ def n_integral(h, m1, m2):
 
 
 def satake_transform(h):
-    """S(h) = sum over torus cocharacters of
-    delta^(1/2) * (N-integral of h) * Y1^m1 Y2^m2, exact."""
+    """S(h) = sum over m1 >= m2 of delta^(1/2) * (N-integral of h at
+    diag(p^m1, p^m2)) * Y1^m1 Y2^m2, exact for every h and q.  With
+    s = m1 + m2 that value is v^(m1-m2) [c_{m1,m2} + (q-1) T(m2)], where
+    T(m2) = sum_{d<m2} c_{s-d,d} q^(m2-d-1) = q T(m2-1) + c_{m2-1}: one
+    running sum down each diagonal, on the coefficients' integer parts
+    over one common denominator, divided once per key."""
     q = h.field.q
-    pairs = set()
-    for (a, b) in h.coeffs:
-        for m1 in range(b, a + 1):
-            m2 = a + b - m1
-            if m1 >= m2:
-                pairs.add((m1, m2))
+    den, parts = _integer_parts(h.coeffs)
+    diagonals = {}
+    for (a, b), ab in parts.items():
+        diagonals.setdefault(a + b, {})[b] = ab
     out = {}
-    for (m1, m2) in pairs:
-        val = LaurentQ.v_power(m2 - m1, q) * n_integral(h, m1, m2)
-        if val:
-            out[(m1, m2)] = val
+    for s, column in diagonals.items():
+        ta = tb = 0
+        for m2 in range(min(column), s // 2 + 1):
+            ca, cb = column.get(m2, (0, 0))
+            xa, xb = ca + (q - 1) * ta, cb + (q - 1) * tb
+            if xa or xb:
+                j, odd = divmod(s - 2 * m2, 2)
+                if odd:   # v^(2j+1) (xa + xb v) = q^j (q xb + xa v)
+                    xa, xb = q * xb, xa
+                w = q ** j
+                out[(s - m2, m2)] = LaurentQ(Fraction(xa * w, den),
+                                             Fraction(xb * w, den), q)
+            ta, tb = q * ta + ca, q * tb + cb
     return SymLaurent(out, q)
 
 
@@ -487,24 +561,34 @@ def inverse_satake(poly, field=None):
     S(1_{a,a}) = s_{a,a}, which telescopes to
     s_{a,b} = v^-(a-b) * sum over k = 0..(a-b)//2 of S(1_{a-k,b+k}).
     Monomial coefficients c give s_{a,b} the coefficient c_{a,b} - c_{a+1,b-1},
-    so each key takes a running sum down its diagonal a + b = const."""
+    so each key takes a running sum down its diagonal a + b = const.
+    Valid when the polynomial's q, if set, is the field's.  Below the top
+    key (a0, s - a0) the sum is v^(s-2a0) * sum (c_a' - c_a'+1) q^(a0-a'),
+    integral over one common denominator and divided once per key."""
     if field is None:
         if poly.q is None:
             raise ValueError("need a base field: polynomial carries no q")
         field = LocalField(poly.q)
     q = field.q
-    get = poly.coeffs.get
+    if poly.q is not None and poly.q != q:
+        raise ValueError("mixed residue cardinalities %s and %s" % (poly.q, q))
+    den, parts = _integer_parts(poly.coeffs)
     top = {}
-    for (a, b) in poly.coeffs:
+    for (a, b) in parts:
         top[a + b] = max(top.get(a + b, a), a)
     coeffs = {}
     for s, a_top in top.items():
-        run = 0
+        m = 2 * a_top - s
+        n = den * q ** ((m + 1) // 2)
+        wa = wb = pa = pb = 0
+        p = 1   # q^(a_top - a)
         for a in range(a_top, (s - 1) // 2, -1):
-            b = s - a
-            schur = get((a, b), 0) - get((a + 1, b - 1), 0)
-            run = run + schur * LaurentQ.v_power(b - a, q)
-            coeffs[(a, b)] = run
+            ca, cb = parts.get((a, s - a), (0, 0))
+            wa, wb = wa + (ca - pa) * p, wb + (cb - pb) * p
+            pa, pb, p = ca, cb, p * q
+            if wa or wb:
+                xa, xb = (q * wb, wa) if m % 2 else (wa, wb)
+                coeffs[(a, s - a)] = LaurentQ(Fraction(xa, n), Fraction(xb, n), q)
     return HeckeElement(field, coeffs)
 
 

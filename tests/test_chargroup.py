@@ -12,7 +12,7 @@ from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,
                                 class_group_mod_squares, cyclotomic_poly,
                                 format_group_function, fourier, hilbert_symbol,
                                 kronecker, legendre, parse_group_function,
-                                poisson_check, project_to_D, quad_char_eval,
+                                poisson_check, quad_char_eval,
                                 sample_poisson_triple, subgroup_generated)
 
 INF = "inf"
@@ -390,6 +390,16 @@ def test_place_normalization():
         class_group_mod_squares([INF, 1])
 
 
+def project_to_D(t, sgroup):
+    " class of the S-unit t in the quotient group "
+    return sgroup.project(Fraction(t))
+
+
+def diagonal_class(sgroup, t):
+    " class of the full diagonal image (trivial by construction) "
+    return sgroup.reduce_vector(sgroup.diagonal_vector(t))
+
+
 def test_project_examples():
     g = class_group_mod_squares([INF, 2])
     assert project_to_D(1, g) == g.identity()
@@ -412,7 +422,7 @@ def test_project_is_section_not_diagonal():
     " with 3 in S the unit part of 2 at 3 separates the two maps "
     g = class_group_mod_squares([INF, 2, 3])
     assert project_to_D(2, g) != g.identity()
-    assert g.diagonal_class(2) == g.identity()
+    assert diagonal_class(g, 2) == g.identity()
     assert project_to_D(3, g) != g.identity()
     # project is a homomorphism on S-units
     for s, t in [(-1, 2), (2, 3), (-3, Fraction(1, 6))]:
@@ -435,7 +445,7 @@ def test_diagonal_classes_are_trivial():
             rationals.add(t)
             rationals.add(1 / t)
         for t in rationals:
-            assert g.diagonal_class(t) == g.identity(), (S, t)
+            assert diagonal_class(g, t) == g.identity(), (S, t)
 
 
 def test_quad_char_eval_frozen():

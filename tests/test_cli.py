@@ -210,6 +210,18 @@ def test_estimate_mr_grid_checked_before_kernel(grid, monkeypatch, capsys):
     assert calls == []
 
 
+def test_internal_assertion_is_not_a_usage_error(tp3, monkeypatch, capsys):
+    " a broken invariant propagates; exit 2 is kept for bad input "
+    def broken(args):
+        raise AssertionError("invariant broken")
+    monkeypatch.setitem(cli.COMMANDS, "satake",
+                        (broken, cli.COMMANDS["satake"][1]))
+    with pytest.raises(AssertionError, match="invariant broken"):
+        run(["satake", "--q", "3", "--in", tp3])
+    out, err = capsys.readouterr()
+    assert "error:" not in out + err
+
+
 def test_estimate_mr_csv(capsys):
     from gl2trace.basicfn import RepSpec
     from gl2trace.spectral import (delta_qexpansion, estimator_series,

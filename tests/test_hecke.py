@@ -13,8 +13,8 @@ import pytest
 
 from gl2trace.hecke import (HeckeElement, LocalField, SatakeParameter,
                             SymLaurent, convolve, coset_decomposition,
-                            coset_degree, inverse_satake, satake_transform,
-                            spherical_trace)
+                            coset_degree, inverse_satake, n_integral,
+                            satake_transform, spherical_trace)
 from gl2trace.rings import LaurentQ, QiNumber, QiV
 
 INF = 10 ** 9
@@ -223,6 +223,25 @@ def naive_evaluate(poly, y1, y2):
     return total
 
 
+def n_integral_transform(h):
+    """The transform point by point: one N-integral per torus point
+    (m1, m2), m1 >= m2, on a diagonal of the support, times
+    delta^(1/2) = v^(m2 - m1), all in LaurentQ arithmetic."""
+    q = h.field.q
+    pairs = set()
+    for (a, b) in h.coeffs:
+        for m1 in range(b, a + 1):
+            m2 = a + b - m1
+            if m1 >= m2:
+                pairs.add((m1, m2))
+    out = {}
+    for (m1, m2) in pairs:
+        val = LaurentQ.v_power(m2 - m1, q) * n_integral(h, m1, m2)
+        if val:
+            out[(m1, m2)] = val
+    return SymLaurent(out, q)
+
+
 def dominance_inverse(poly, field):
     """The transform inverted by triangularity in dominance order: peel
     off the leading monomial with one forward transform per step."""
@@ -233,7 +252,7 @@ def dominance_inverse(poly, field):
         i, j = max(rest.coeffs, key=lambda k: (k[0] - k[1], k[0] + k[1]))
         c = rest.coeffs[(i, j)] * LaurentQ.v_power(j - i, q)
         coeffs[(i, j)] = c
-        rest = rest - satake_transform(HeckeElement.char(field, (i, j))).scale(c)
+        rest = rest - n_integral_transform(HeckeElement.char(field, (i, j))).scale(c)
     return HeckeElement(field, coeffs)
 
 
@@ -268,6 +287,93 @@ def naive_product(p1, p2):
             prod[k] = prod.get(k, 0) + c1 * c2
     return SymLaurent({k: c for k, c in prod.items() if k[0] >= k[1]},
                       p1.q if p1.q is not None else p2.q)
+
+
+def random_hecke(rng, field):
+    " up to eight cosets with keys in -4..5 and rational and v-parts "
+    coeffs = {}
+    for _ in range(rng.randint(1, 8)):
+        b = rng.randint(-4, 5)
+        coeffs[(rng.randint(b, 5), b)] = LaurentQ(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+            Fraction(rng.randint(-6, 6), rng.randint(1, 5)) * rng.randint(0, 1),
+            field.q)
+    return HeckeElement(field, coeffs)
+
+
+def transform_cases(q):
+    """Random elements, then edge cases: the zero element, single cosets
+    of every shape, one long diagonal, every diagonal through a box."""
+    rng = random.Random(4000 + q)
+    field = LocalField(q)
+    hs = [random_hecke(rng, field) for _ in range(30)]
+    hs.append(HeckeElement(field))
+    hs += [HeckeElement.char(field, k, LaurentQ(Fraction(2, 3), -1, q))
+           for k in [(0, 0), (5, -4), (-4, -4), (1, -4), (5, 5), (3, 2)]]
+    hs.append(HeckeElement(field, {(5 - k, -4 + k): k - 3 for k in range(5)}))
+    hs.append(HeckeElement(field, {(a, b): LaurentQ(a, b, q)
+                                   for a in range(-4, 6) for b in range(-4, a + 1)
+                                   if (a * 7 + b) % 3}))
+    return field, hs
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_satake_matches_n_integral_oracle(q):
+    " 30 random elements per q and the edge cases, with == "
+    field, hs = transform_cases(q)
+    for h in hs:
+        got = satake_transform(h)
+        assert got == n_integral_transform(h) and got.q == q
+    assert satake_transform(HeckeElement(field)).coeffs == {}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_inverse_satake_matches_dominance_oracle_on_transforms(q):
+    " the same inputs: their transforms, and their coefficients as polynomials "
+    field, hs = transform_cases(q)
+    for h in hs:
+        assert inverse_satake(n_integral_transform(h), field) == h
+        poly = SymLaurent(dict(h.coeffs), q)
+        assert inverse_satake(poly) == dominance_inverse(poly, field)
+
+
+def test_inverse_satake_rejects_other_q():
+    with pytest.raises(ValueError, match="mixed residue cardinalities 3 and 2"):
+        inverse_satake(SymLaurent({(1, 0): 1}, 3), LocalField(2))
+
+
+EXACT_POINTS = [
+    (QiNumber(1), QiNumber(1)),
+    (QiNumber(Fraction(3, 5), Fraction(4, 5)), QiNumber(Fraction(3, 5), Fraction(-4, 5))),
+    (QiNumber(Fraction(5, 13), Fraction(12, 13)), QiNumber(Fraction(5, 13), Fraction(12, 13))),
+    (QiNumber(Fraction(1, 2), 2), QiNumber(-3, Fraction(1, 3))),
+    (QiNumber(0, Fraction(-2, 3)), QiNumber(Fraction(7, 4))),
+    (QiNumber(-6, 0), QiNumber(Fraction(-1, 9), Fraction(5, 6))),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_exact_evaluate_matches_naive(q):
+    """Conjugate and non-conjugate pairs, negative, mixed and positive
+    exponents, v-parts, and the zero polynomial, with =="""
+    rng = random.Random(600 + q)
+    polys = [random_symlaurent(rng, q) for _ in range(20)]
+    polys.append(SymLaurent({(3, 1): LaurentQ(2, Fraction(-1, 2), q), (2, 2): 5}, q))
+    polys.append(SymLaurent({(-1, -3): LaurentQ(0, 3, q)}, q))
+    for poly in polys:
+        for y1, y2 in EXACT_POINTS:
+            got = poly.evaluate(y1, y2)
+            assert isinstance(got, QiV) and got.q == q
+            assert got == naive_evaluate(poly, y1, y2)
+    for y1, y2 in EXACT_POINTS:
+        assert SymLaurent({}, q).evaluate(y1, y2) == QiV(0, 0, q)
+
+
+def test_exact_evaluate_needs_nonzero_parameters_for_negative_exponents():
+    poly = SymLaurent({(0, -1): 1}, 3)
+    with pytest.raises(ZeroDivisionError):
+        poly.evaluate(QiNumber(0), QiNumber(1))
+    assert SymLaurent({(2, 0): 1}, 3).evaluate(QiNumber(0), QiNumber(0, 1)) == QiV(-1, 0, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, None])
