@@ -126,9 +126,6 @@ class ArchProfile:
     def pieces(self, sign):
         return self.pos if sign > 0 else self.neg
 
-    def is_zero(self):
-        return not (self.pos or self.neg)
-
     def mass(self, sign):
         " exact integral against d^x t = dl over one sign component "
         total = Fraction(0)

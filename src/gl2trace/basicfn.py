@@ -16,7 +16,7 @@ import re as _re
 from fractions import Fraction
 
 from .hecke import HeckeElement, LocalField, SymLaurent, inverse_satake, spherical_trace
-from .rings import LaurentQ, QiNumber, QiV
+from .rings import LaurentQ, QiNumber
 
 
 class RepSpec:
@@ -80,30 +80,25 @@ def rep_weights(r):
 
 def symn_trace(r, n):
     """Complete homogeneous symmetric function h_n on the weights of r,
-    as a symmetric Laurent polynomial with integer coefficients."""
+    as a symmetric Laurent polynomial with integer coefficients.
+
+    With weights Y1^(k-i+m) Y2^(i+m), i = 0..k, the coefficient of
+    Y1^(n(k+m)-s) Y2^(nm+s) counts the partitions of s into at most n
+    parts of size at most k: the t^s coefficient of the Gaussian binomial
+    [n+k choose k]_t = prod_{j=1..k} (1 - t^(n+j)) / (1 - t^j)."""
     if n < 0:
         raise ValueError("n = %s is negative: the series starts at n = 0" % n)
-    table = [dict() for _ in range(n + 1)]
-    table[0][(0, 0)] = 1
-    for (e1, e2) in rep_weights(r):
-        new = [dict() for _ in range(n + 1)]
-        for j in range(n + 1):
-            acc = new[j]
-            for s in range(j + 1):
-                p = j - s
-                for (a, b), c in table[s].items():
-                    k = (a + e1 * p, b + e2 * p)
-                    acc[k] = acc.get(k, 0) + c
-        table = new
-    full = table[n]
-    out = {}
-    for (a, b), c in full.items():
-        if a < b:
-            continue
-        if a > b:
-            assert full.get((b, a)) == c, "weight multiset is not Weyl-stable"
-        out[(a, b)] = c
-    return SymLaurent(out, None)
+    c = [1]
+    for j in range(1, r.k + 1):
+        c += [0] * (n + j)
+        for s in range(len(c) - 1, n + j - 1, -1):   # times 1 - t^(n+j)
+            c[s] -= c[s - n - j]
+        for s in range(j, len(c)):                   # over 1 - t^j, exactly
+            c[s] += c[s - j]
+        del c[n * j + 1:]
+    assert c == c[::-1], "weight multiset is not Weyl-stable"
+    e1, e2 = n * (r.k + r.m), n * r.m
+    return SymLaurent({(e1 - s, e2 + s): c[s] for s in range(n * r.k // 2 + 1)}, None)
 
 
 def basic_coeff(r, n, field):
@@ -116,10 +111,6 @@ def basic_coeff(r, n, field):
 
 
 # -- series and rational functions --------------------------------------
-
-
-def _is_exact(c):
-    return isinstance(c, (LaurentQ, QiNumber, Fraction, int))
 
 
 def _coeff_token(c):
@@ -178,12 +169,6 @@ def _nz(c):
         return bool(c)
     except TypeError:
         return c != 0
-
-
-def _to_complex(c):
-    if isinstance(c, LaurentQ):
-        return complex(c.to_float())
-    return complex(c)
 
 
 def _as_fraction(c):
@@ -297,10 +282,10 @@ class RationalFn:
     def evaluate(self, t):
         num = 0j
         for c in reversed(self.num):
-            num = num * t + _to_complex(c)
+            num = num * t + complex(c)
         den = 0j
         for c in reversed(self.den):
-            den = den * t + _to_complex(c)
+            den = den * t + complex(c)
         return num / den
 
     def __eq__(self, other):
@@ -380,13 +365,15 @@ def local_l_factor(r, c):
 def _trace_value(h, c):
     " spherical trace reduced to the smallest exact ring that holds it "
     val = spherical_trace(h, c)
-    if isinstance(val, QiV):
+    if isinstance(val, LaurentQ):
         assert val.v_free, "trace of a basic-function coefficient kept a v-part"
-        qi = val.as_qi()
-        if qi.im == 0:
-            return LaurentQ(qi.re)
-        return qi
+        return val.a if isinstance(val.a, QiNumber) else LaurentQ(val.a)
     return val
+
+
+def trace_series(r, c, N, field):
+    " traces at c of the basic-function coefficients, to order N "
+    return RationalSeries([_trace_value(basic_coeff(r, n, field), c) for n in range(N + 1)], N)
 
 
 def truncated_basic_identity(r, c, N, field=None):
@@ -396,6 +383,4 @@ def truncated_basic_identity(r, c, N, field=None):
     assert N >= 0
     if field is None:
         field = LocalField(2)
-    lhs = RationalSeries([_trace_value(basic_coeff(r, n, field), c) for n in range(N + 1)], N)
-    rhs = local_l_factor(r, c).series(N)
-    return lhs, rhs
+    return trace_series(r, c, N, field), local_l_factor(r, c).series(N)

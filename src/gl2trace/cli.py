@@ -14,8 +14,7 @@ from .assembly import (cartan_discrepancy, correction_term,
                        intertwining_constant, load_config, numeric_verify,
                        one_dim_geometric, one_dim_spectral, residual_breakdown,
                        residual_geometric, residual_spectral)
-from .basicfn import (RepSpec, basic_coeff, local_l_factor,
-                      truncated_basic_identity, value_eq)
+from .basicfn import RepSpec, basic_coeff, local_l_factor, trace_series, value_eq
 from .chargroup import (class_group_mod_squares, parse_group_function,
                         poisson_check, subgroup_generated)
 from .hecke import (HeckeElement, LocalField, SatakeParameter, convolve,
@@ -121,7 +120,7 @@ def _cmd_l_factor(args):
     fn = local_l_factor(rep, c)
     print(fn.to_text(), end="")
     if args.check is not None:
-        lhs, rhs = truncated_basic_identity(rep, c, args.check, field)
+        lhs, rhs = trace_series(rep, c, args.check, field), fn.series(args.check)
         for k in range(args.check + 1):
             if not value_eq(lhs[k], rhs[k]):
                 print("FAIL at order %d: trace %s vs L-series %s"

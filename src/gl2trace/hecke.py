@@ -17,7 +17,7 @@ output value, so they are exact.  The tests keep ring-arithmetic oracles.
 import math
 from fractions import Fraction
 
-from .rings import LaurentQ, QiNumber, QiV
+from .rings import LaurentQ, QiNumber
 
 INF = None  # valuation of zero
 
@@ -394,11 +394,11 @@ class SymLaurent:
     def evaluate(self, y1, y2):
         """Substitute Y1 = y1, Y2 = y2 and v = +sqrt(q).  Gaussian
         rationals (QiNumber; nonzero if an exponent is negative) give an
-        exact QiV: with y = z/d, z a Gaussian integer, each monomial is
-        (y1 y2)^lo times a Gaussian integer over d1^e d2^e (lo the least
-        exponent, e the span), so the sum is integral over one common
-        denominator, divided once.  Complex numbers give a complex, from
-        one power table per variable."""
+        exact LaurentQ over Q(i): with y = z/d, z a Gaussian integer,
+        each monomial is (y1 y2)^lo times a Gaussian integer over
+        d1^e d2^e (lo the least exponent, e the span), so the sum is
+        integral over one common denominator, divided once.  Complex
+        numbers give a complex, from one power table per variable."""
         lo = min((j for (_, j) in self.coeffs), default=0)
         hi = max((i for (i, _) in self.coeffs), default=0)
         if isinstance(y1, QiNumber):
@@ -441,9 +441,9 @@ class SymLaurent:
             (wr, wi) = _power_table((d * zr, -d * zi), 1, -lo)[-1]
             m = (zr * zr + zi * zi) ** -lo
         n = m * den * d1 ** e * d2 ** e
-        return QiV(QiNumber(Fraction(wr * rr - wi * ri, n), Fraction(wr * ri + wi * rr, n)),
-                   QiNumber(Fraction(wr * vr - wi * vi, n), Fraction(wr * vi + wi * vr, n)),
-                   self.q)
+        a = QiNumber(Fraction(wr * rr - wi * ri, n), Fraction(wr * ri + wi * rr, n))
+        b = QiNumber(Fraction(wr * vr - wi * vi, n), Fraction(wr * vi + wi * vr, n))
+        return LaurentQ(a, b, self.q)
 
     def __str__(self):
         if not self.coeffs:
@@ -633,5 +633,6 @@ class SatakeParameter:
 def spherical_trace(h, satp):
     """Evaluate the transform of h at (alpha, beta), v = +sqrt(q).
 
-    Exact parameters give a QiV value; numeric parameters give complex."""
+    Exact parameters give a LaurentQ over Q(i); numeric parameters give
+    complex."""
     return satake_transform(h).evaluate(satp.alpha, satp.beta)

@@ -1,6 +1,8 @@
 """Exit codes, report formats, and determinism of the command line."""
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -453,3 +455,21 @@ def test_usage_errors(capsys):
     assert run(["satake", "--q", "3"]) == 2          # missing --in
     assert run(["no-such-command"]) == 2
     assert run(["orbital", "--q", "4", "--gamma", "1,0", "--in", "x"]) == 2
+
+
+def test_perfbench_trace_names_resolve():
+    " every module attribute the benchmark's tracer wraps or counts exists "
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "trace.py")
+    spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    names = ([(mod, attr) for mod, attr, _ in trace.SPANS] + trace.COUNTS
+             + trace.RING_CLASSES)
+    for mod, attr in names:
+        owner = importlib.import_module("gl2trace." + mod)
+        for bit in attr.split("."):
+            assert hasattr(owner, bit), "gl2trace.%s has no %s" % (mod, attr)
+            owner = getattr(owner, bit)
+    for mod, cls in trace.RING_CLASSES:
+        assert isinstance(getattr(importlib.import_module("gl2trace." + mod), cls), type)

@@ -1,11 +1,15 @@
 """Coefficient-ring arithmetic against a naive dict-based model."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2trace.rings import LaurentQ, QiNumber, QiV
+import gl2trace
+from gl2trace.rings import LaurentQ, QiNumber
 
 
 # Independent model: {exponent: Fraction} Laurent dict, reduced to the
@@ -99,6 +103,7 @@ def test_str_forms():
     assert str(LaurentQ(1, 1, 2)) == "1+v"
     assert str(LaurentQ(0, 0, 2)) == "0"
     assert str(LaurentQ(0, -2, 2)) == "-v^3"
+    assert str(LaurentQ(9, QiNumber(Fraction(3, 5), -2), 3)) == "(3/5-2*i)*v+v^4"
 
 
 def test_compact_roundtrip():
@@ -126,22 +131,47 @@ def test_qi_unit_circle():
     assert a ** -1 == a.conj()
 
 
-@given(gauss, gauss, gauss, gauss, st.sampled_from([2, 3, 5]))
-@settings(max_examples=150)
-def test_qiv_ring(a1, b1, a2, b2, q):
-    x = QiV(a1, b1, q)
-    y = QiV(a2, b2, q)
+component = st.one_of(small_fraction, gauss)
+
+
+@given(component, component, component, component, component, component,
+       small_fraction, st.sampled_from([2, 3, 5]))
+@settings(max_examples=100)
+def test_laurent_over_qi_ring(a1, b1, a2, b2, a3, b3, r, q):
+    x, y, z = LaurentQ(a1, b1, q), LaurentQ(a2, b2, q), LaurentQ(a3, b3, q)
     # v^2 = q in the product, checked against direct expansion
     p = x * y
-    assert p.a == a1 * a2 + b1 * b2 * q
-    assert p.b == a1 * b2 + b1 * a2
-    assert x + y == y + x
+    assert p == LaurentQ(a1 * a2 + b1 * b2 * q, a1 * b2 + b1 * a2, q)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert (x + y) * z == x * z + y * z
+    assert x - x == 0 and x * 1 == x
+    if x:
+        assert x * x.inverse() == 1
+    # a Gaussian component with zero imaginary part is stored as its Fraction
+    g = LaurentQ(QiNumber(r, 0), QiNumber(r, 0), q)
+    assert g == LaurentQ(r, r, q) and hash(g) == hash(LaurentQ(r, r, q))
 
 
-def test_qiv_from_laurent():
-    x = LaurentQ(2, Fraction(1, 2), 2)
-    z = QiV.from_laurent(x)
-    assert z.a == QiNumber(2) and z.b == QiNumber(Fraction(1, 2)) and z.q == 2
-    # 2*v at q=2 squared is 8
-    w = QiV(0, 2, 2)
-    assert w * w == QiV(8, 0, 2)
+def test_ring_checks_survive_optimize():
+    " named exceptions, not asserts, so python -O keeps them "
+    code = ("from gl2trace.rings import LaurentQ, QiNumber\n"
+            "for call in (lambda: LaurentQ(2, 1, 3) ** 0.5,\n"
+            "             lambda: QiNumber(1, 1) ** '2',\n"
+            "             lambda: LaurentQ(1, 1, 2).as_fraction(),\n"
+            "             lambda: LaurentQ(QiNumber(1, 2)).as_fraction()):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except (TypeError, ValueError) as e:\n"
+            "        print(type(e).__name__, e)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "TypeError exponent 0.5 is not an integer",
+            "TypeError exponent '2' is not an integer",
+            "ValueError value 1+v is not rational",
+            "ValueError value (1+2*i) is not rational"], flags
