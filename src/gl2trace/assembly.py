@@ -8,7 +8,6 @@ are carried as input data: the torus restriction of f itself and the
 unipotent average Phi; relating them analytically is out of scope.
 """
 
-import itertools
 import math
 import os
 from fractions import Fraction
@@ -144,14 +143,13 @@ class ArchProfile:
     def value_at(self, t, numeric=False):
         " pointwise value at rational t != 0; exact unless impossible "
         t = Fraction(t)
-        assert t != 0
+        if not t:
+            raise ValueError("profile value at t = 0: the profiles live on R^x")
         coeffs = self._piece_at(abs(t), 1 if t > 0 else -1)
         if coeffs is None:
             return Fraction(0)
-        if abs(t) == 1:
-            return coeffs[0]  # the polynomial at l = 0
-        if len(coeffs) == 1:
-            return coeffs[0]
+        if abs(t) == 1 or len(coeffs) == 1:
+            return coeffs[0]  # the polynomial at l = 0, or a constant
         if not numeric:
             raise ExactnessError(
                 "profile piece has degree %d at the irrational point "
@@ -278,22 +276,25 @@ def _torus_exponents(h):
 def torus_support(f):
     """All t = +-prod p^(e_p) where f(diag(t,1)) or Phi(diag(t,1)) is
     nonzero, with both exact values; rows sorted by |t|, positive
-    first."""
-    locals_ = [(p, f.local(p)) for p in f.finite_places]
-    grids = [_torus_exponents(h) for _, h in locals_]
+    first.  Points grow one place at a time from per-place tables of
+    (p^e, f value, Phi value), dropping those whose finite f and Phi
+    products are both 0; a profile is read only where its finite factor
+    is nonzero."""
+    points = [(Fraction(1), Fraction(1), Fraction(1))]   # |t|, finite f, Phi
+    for p in f.finite_places:
+        if not points:
+            break   # the support is empty; later places are not read
+        h = f.local(p)
+        table = [(Fraction(p) ** e, _torus_value(h, e), _phi_value(h, e))
+                 for e in _torus_exponents(h)]
+        points = [(tabs * pe, fv * fe, pv * phie)
+                  for tabs, fv, pv in points for pe, fe, phie in table
+                  if fv and fe or pv and phie]
     rows = []
-    for exps in itertools.product(*grids):
-        tabs = Fraction(1)
-        fv_fin = Fraction(1)
-        pv_fin = Fraction(1)
-        for (p, h), e in zip(locals_, exps):
-            tabs *= Fraction(p) ** e
-            fv_fin *= _torus_value(h, e)
-            pv_fin *= _phi_value(h, e)
-        for sign in (1, -1):
-            t = sign * tabs
-            fv = fv_fin * f.f_profile.value_at(t)
-            pv = pv_fin * f.phi_profile.value_at(t)
+    for tabs, fv_fin, pv_fin in points:
+        for t in (tabs, -tabs):
+            fv = fv_fin and fv_fin * f.f_profile.value_at(t)
+            pv = pv_fin and pv_fin * f.phi_profile.value_at(t)
             if fv or pv:
                 rows.append((t, fv, pv))
     rows.sort(key=lambda r: (abs(r[0]), r[0] < 0))

@@ -269,9 +269,6 @@ class GroupCharacter:
     def __call__(self, g):
         return CycloNumber.zeta(self.group.exponent, self.zeta_exponent(g))
 
-    def is_trivial(self):
-        return all(a == 0 for a in self.exps)
-
     def __eq__(self, other):
         return (isinstance(other, GroupCharacter)
                 and other.group == self.group and other.exps == self.exps)
@@ -496,22 +493,26 @@ def _split_val(x, p):
     return v, x
 
 
+def _square_class_int(x):
+    " numerator * denominator of a nonzero rational x: in its square class "
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    n = x.numerator * x.denominator
+    if not n:
+        raise ValueError("expected a nonzero rational, got %s" % x)
+    return n
+
+
 def hilbert_symbol(a, b, place):
-    " Hilbert symbol (a, b)_v over Q; place is 'inf' or a prime "
-    a, b = Fraction(a), Fraction(b)
-    assert a != 0 and b != 0
-    # clear denominators by squares
-    ai = a.numerator * a.denominator
-    bi = b.numerator * b.denominator
+    """Hilbert symbol (a, b)_v over Q; place is 'inf' or a prime.  a and
+    b are nonzero ints or Fractions, or any value Fraction() accepts,
+    such as the string '3/5'; a zero argument raises ValueError."""
+    ai, bi = _square_class_int(a), _square_class_int(b)
     if place == INF_PLACE:
         return -1 if ai < 0 and bi < 0 else 1
     p = place
-    sa = -1 if ai < 0 else 1
-    sb = -1 if bi < 0 else 1
-    alpha, u = _split_val(abs(ai), p)
-    beta, w = _split_val(abs(bi), p)
-    u *= sa
-    w *= sb
+    alpha, u = _split_val(ai, p)     # u keeps the sign of a
+    beta, w = _split_val(bi, p)
     if p == 2:
         eps_u = ((u - 1) // 2) % 2
         eps_w = ((w - 1) // 2) % 2
@@ -562,15 +563,11 @@ def _unit_bits_2(u):
 
 def local_square_class(t, place):
     " F2 coordinate tuple of t in Q_v^x / (Q_v^x)^2 "
-    t = Fraction(t)
-    assert t != 0
+    n = _square_class_int(t)
     if place == INF_PLACE:
-        return (1 if t < 0 else 0,)
+        return (1 if n < 0 else 0,)
     p = place
-    n = t.numerator * t.denominator
-    sign = -1 if n < 0 else 1
-    val, u = _split_val(abs(n), p)
-    u *= sign
+    val, u = _split_val(n, p)
     if p == 2:
         b1, b2 = _unit_bits_2(u)
         return (val % 2, b1, b2)
@@ -694,10 +691,9 @@ class SClassGroup:
         return tuple(bits)
 
     def _check_s_unit(self, t):
-        assert t != 0
         n = abs(t.numerator * t.denominator)
         for p in self.places[1:]:
-            while n % p == 0:
+            while n and n % p == 0:
                 n //= p
         if n != 1:
             raise ValueError("%s is not an S-unit for S = %s" % (t, self.places))
@@ -796,26 +792,28 @@ class QuadChar:
     def __call__(self, t):
         return quad_char_eval(self, t)
 
+    def _group(self):
+        if self.sgroup is None:
+            raise ValueError("%r has no S-class group; take it from "
+                             "class_group_mod_squares(S).quad_chars" % (self,))
+        return self.sgroup
+
     def on_element(self, g):
         " value on an abstract D_S element (exponent tuple), +1 or -1 "
-        assert self.sgroup is not None
         e = 0
-        for x, i in zip(g, self.sgroup.free_idx):
+        for x, i in zip(g, self._group().free_idx):
             if x:
                 e ^= self._table[i]
         return -1 if e else 1
 
     def on_vector(self, vec):
         " value on an ambient bit vector "
-        assert self.sgroup is not None
+        self._group()
         e = 0
         for x, t in zip(vec, self._table):
             if x:
                 e ^= t
         return -1 if e else 1
-
-    def is_trivial(self):
-        return self.d == 1
 
     def sign_value(self):
         " value on the archimedean sign class (-1 at infinity) "
@@ -840,7 +838,8 @@ def quad_char_eval(chi, t):
     " Kronecker symbol (d/t) extended multiplicatively to rationals "
     d = chi.d if isinstance(chi, QuadChar) else int(chi)
     t = Fraction(t)
-    assert t != 0
+    if not t:
+        raise ValueError("character value at t = 0: t must be nonzero")
     return kronecker(d, t.numerator) * kronecker(d, t.denominator)
 
 

@@ -1,7 +1,9 @@
 """Global assembly: torus support, one-dim and residual terms, Cartan
 report, correction bracket, intertwining, configuration."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,117 @@ def test_support_v_part_rejected():
         torus_support(g)
 
 
+def full_grid_torus_support(f):
+    """oracle for torus_support: every point of the full product grid of
+    the places' torus exponents, each place's values recomputed at each
+    point and both profiles read at every point"""
+    locals_ = [(p, f.local(p)) for p in f.finite_places]
+    grids = [assembly._torus_exponents(h) for _, h in locals_]
+    rows = []
+    for exps in itertools.product(*grids):
+        tabs = Fraction(1)
+        fv_fin = Fraction(1)
+        pv_fin = Fraction(1)
+        for (p, h), e in zip(locals_, exps):
+            tabs *= Fraction(p) ** e
+            fv_fin *= assembly._torus_value(h, e)
+            pv_fin *= assembly._phi_value(h, e)
+        for sign in (1, -1):
+            t = sign * tabs
+            fv = fv_fin * f.f_profile.value_at(t)
+            pv = pv_fin * f.phi_profile.value_at(t)
+            if fv or pv:
+                rows.append((t, fv, pv))
+    rows.sort(key=lambda r: (abs(r[0]), r[0] < 0))
+    return rows
+
+
+def random_local(rng, p):
+    """one to three cosets, sometimes with Phi cancelled at e = 1: for
+    c (1,0) - c/(p-1) (2,-1) the f value at e = 1 is c and the Phi value
+    is 0, while a coset (a, b) with a, b != 0 has f = 0 and Phi != 0 at
+    e = a + b"""
+    fld = LocalField(p)
+
+    def coeff():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    h = HeckeElement.char(fld, (0, 0), 0)      # the zero element
+    for _ in range(rng.randint(1, 3)):
+        b = rng.randint(-2, 1)
+        h = h + HeckeElement.char(fld, (b + rng.randint(0, 2), b), coeff())
+    if rng.random() < 0.4:
+        c = coeff()
+        h = (h + HeckeElement.char(fld, (1, 0), c)
+             + HeckeElement.char(fld, (2, -1), -c / (p - 1)))
+    return h
+
+
+def random_profile(rng):
+    " constant pieces on [lo, hi) in log|t|, some of them 0 "
+    def side():
+        cuts = sorted(rng.sample(range(-8, 9), rng.randint(2, 4)))
+        return tuple((Fraction(lo, 2), Fraction(hi, 2),
+                      [Fraction(rng.choice([0, 1, 2, -3]), rng.randint(1, 3))])
+                     for lo, hi in zip(cuts, cuts[1:]))
+    return ArchProfile(pos=side(), neg=side())
+
+
+def test_torus_support_matches_full_grid():
+    " the place-by-place rows equal the full-grid oracle's, in order "
+    rng = random.Random(9)
+    primes = [2, 3, 5, 7, 11, 13]
+    local_zeros = {"f": 0, "phi": 0, "both": 0}   # finite factors at (p, e)
+    row_zeros = {"f": 0, "phi": 0}
+    for trial in range(36):
+        places = sorted(rng.sample(primes, trial % 6 + 1))
+        hecke = {p: random_local(rng, p) for p in places}
+        f = GlobalTestFunction([INF] + places, hecke=hecke,
+                               f_profile=random_profile(rng),
+                               phi_profile=random_profile(rng))
+        rows = torus_support(f)
+        assert rows == full_grid_torus_support(f), places
+        assert all(type(t) is type(fv) is type(pv) is Fraction
+                   for t, fv, pv in rows)
+        for h in hecke.values():
+            for e in assembly._torus_exponents(h):
+                fz = assembly._torus_value(h, e) == 0
+                pz = assembly._phi_value(h, e) == 0
+                if fz or pz:
+                    local_zeros["both" if fz and pz else "f" if fz else "phi"] += 1
+        row_zeros["f"] += sum(1 for _, fv, pv in rows if pv and not fv)
+        row_zeros["phi"] += sum(1 for _, fv, pv in rows if fv and not pv)
+    assert min(local_zeros.values()) >= 10 and min(row_zeros.values()) >= 5
+
+
+@pytest.mark.parametrize("cosets, zero, want", [
+    ([((1, 1), 1)], "both", []),                          # f = Phi = 0 at t = 4
+    ([((2, -1), 1)], "f", [(2, 0, 3)]),                    # f = 0, Phi = 1 at 2
+    ([((1, 0), 1), ((2, -1), -1)], "phi", [(2, 3, 0)]),   # f = 1, Phi = 0 at 2
+])
+def test_support_reads_no_profile_at_a_zero_factor(cosets, zero, want):
+    " a degree-1 piece at an irrational log is not read where it meets a 0 "
+    fld = LocalField(2)
+    h = HeckeElement.char(fld, *cosets[0])
+    for key, c in cosets[1:]:
+        h = h + HeckeElement.char(fld, key, c)
+    const, linear = ArchProfile(pos=((-2, 2, [3]),)), ArchProfile(pos=((0, 2, [1, 1]),))
+    f = GlobalTestFunction([INF, 2], hecke={2: h},
+                           f_profile=linear if zero in ("both", "f") else const,
+                           phi_profile=linear if zero in ("both", "phi") else const)
+    assert torus_support(f) == want
+    with pytest.raises(ExactnessError):
+        full_grid_torus_support(f)
+
+
+def test_support_stops_at_an_empty_factor():
+    " a zero Hecke factor empties the support; later places are not read "
+    f, phi = wide_profiles()
+    hecke = {2: HeckeElement.char(LocalField(2), (1, 0), 0),
+             3: HeckeElement.char(LocalField(3), (1, 0), LaurentQ(0, 1, 3))}
+    g = GlobalTestFunction([INF, 2, 3], hecke=hecke, f_profile=f, phi_profile=phi)
+    assert torus_support(g) == full_grid_torus_support(g) == []
+
+
 def count_n_integrals(monkeypatch):
     calls = []
     real = assembly.n_integral
@@ -257,11 +370,11 @@ def test_assemble_one_torus_pass(monkeypatch, tmp_path, capsys):
     cfg.write_text("places = inf,2,3\nhecke_2 = h2.hecke\nhecke_3 = h3.hecke\n"
                    "f_pos = -2:2:3\nf_neg = -1:1:5\n"
                    "phi_pos = -2:2:1/2\nphi_neg = -1:1:7\n")
-    grid = len(assembly._torus_exponents(h2)) * len(assembly._torus_exponents(h3))
+    exponents = len(assembly._torus_exponents(h2)) + len(assembly._torus_exponents(h3))
     calls = count_n_integrals(monkeypatch)
     assert run(["assemble", "--config", str(cfg), "--base-dir", str(tmp_path)]) == 0
     assert "residual_spectral" in capsys.readouterr().out
-    assert len(calls) == 2 * grid      # one Phi value per place per grid point
+    assert len(calls) == exponents     # one Phi value per place per exponent
 
 
 def test_assemble_one_class_group(monkeypatch, tmp_path, capsys):

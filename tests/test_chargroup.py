@@ -1,11 +1,16 @@
 """Finite Fourier analysis, arithmetic symbols, and the D_S model."""
 
 import cmath
+import os
 import random
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import gl2trace
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,
                                 GroupCharacter, GroupFunction, QuadChar,
                                 annihilator, characters,
@@ -348,6 +353,102 @@ def test_hilbert_known_values():
     assert hilbert_symbol(2, 3, 2) == -1
     assert hilbert_symbol(3, 3, 3) == -1  # (3,3)_3 = (3,-1)_3... = legendre(-1,3) = -1
     assert hilbert_symbol(5, 2, 5) == -1  # 2 is a nonresidue mod 5
+
+
+def fraction_hilbert_symbol(a, b, place):
+    """oracle for hilbert_symbol: both arguments made Fractions first,
+    then split into sign, p-adic valuation and unit"""
+    a, b = Fraction(a), Fraction(b)
+    ai = a.numerator * a.denominator
+    bi = b.numerator * b.denominator
+    if place == INF:
+        return -1 if ai < 0 and bi < 0 else 1
+    p = place
+    sa = -1 if ai < 0 else 1
+    sb = -1 if bi < 0 else 1
+    alpha, u = split_val(abs(ai), p)
+    beta, w = split_val(abs(bi), p)
+    u *= sa
+    w *= sb
+    if p == 2:
+        eps_u, eps_w = ((u - 1) // 2) % 2, ((w - 1) // 2) % 2
+        om_u, om_w = ((u * u - 1) // 8) % 2, ((w * w - 1) // 8) % 2
+        return -1 if (eps_u * eps_w + alpha * om_w + beta * om_u) % 2 else 1
+    s = 1
+    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
+        s = -s
+    if beta % 2 and legendre(u % p, p) == -1:
+        s = -s
+    if alpha % 2 and legendre(w % p, p) == -1:
+        s = -s
+    return s
+
+
+def split_val(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
+def test_hilbert_symbol_inputs_match_fraction_path():
+    " ints and Fractions are read directly; other Fraction() inputs still work "
+    vals = [1, -1, 2, -2, 3, -12, 50, -98, 7 * 11 * 13, True,
+            Fraction(1, 2), Fraction(-3, 5), Fraction(49, 18), Fraction(-22, 75),
+            "3/5", "-14", " 10/21 ", 0.75, -2.5, Decimal("-0.125"), Decimal(45)]
+    for v in [INF, 2, 3, 5, 7, 11, 13]:
+        for a in vals:
+            for b in vals:
+                assert hilbert_symbol(a, b, v) == fraction_hilbert_symbol(a, b, v), (a, b, v)
+
+
+def test_hilbert_symbol_rejects_zero():
+    for a, b in [(0, 3), (3, Fraction(0)), ("0/7", -1), (5, 0.0)]:
+        for v in (INF, 2, 3):
+            with pytest.raises(ValueError, match="nonzero rational, got 0"):
+                hilbert_symbol(a, b, v)
+    with pytest.raises(ValueError):
+        hilbert_symbol("x", 3, 2)      # Fraction() rejects it, as before
+
+
+def test_symbol_input_checks_survive_optimize():
+    " named exceptions, not asserts, so python -O keeps them "
+    code = ("from gl2trace.assembly import ArchProfile\n"
+            "from gl2trace.chargroup import (QuadChar, class_group_mod_squares,\n"
+            "    hilbert_symbol, local_square_class, quad_char_eval)\n"
+            "g = class_group_mod_squares(['inf', 2, 3])\n"
+            "for call in (lambda: hilbert_symbol(0, 3, 2),\n"
+            "             lambda: hilbert_symbol(3, '0/5', 'inf'),\n"
+            "             lambda: local_square_class(0, 3),\n"
+            "             lambda: g.diagonal_vector(0),\n"
+            "             lambda: g.section_vector(0),\n"
+            "             lambda: quad_char_eval(QuadChar(5), 0),\n"
+            "             lambda: QuadChar(5).on_element((1,)),\n"
+            "             lambda: QuadChar(-4).on_vector((1, 0)),\n"
+            "             lambda: ArchProfile(pos=((-1, 1, [1]),)).value_at(0)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "expected a nonzero rational, got 0",
+            "expected a nonzero rational, got 0",
+            "expected a nonzero rational, got 0",
+            "0 is not an S-unit for S = ['inf', 2, 3]",
+            "0 is not an S-unit for S = ['inf', 2, 3]",
+            "character value at t = 0: t must be nonzero",
+            "QuadChar(d=5) has no S-class group; take it from "
+            "class_group_mod_squares(S).quad_chars",
+            "QuadChar(d=-4) has no S-class group; take it from "
+            "class_group_mod_squares(S).quad_chars",
+            "profile value at t = 0: the profiles live on R^x"], flags
 
 
 # -- the S-class group --------------------------------------------------

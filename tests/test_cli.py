@@ -140,6 +140,23 @@ def test_assemble(assemble_cfg, capsys):
     assert out.strip().splitlines()[-1] == "total\t\t\t-49/8"
 
 
+def test_assemble_zero_finite_factor_reads_no_profile(tmp_path, capsys):
+    """f and Phi of char (1,1) at q = 2 vanish at t = +-4, where the f
+    profile has degree 1 at the irrational log 4: it is never read, and
+    every torus sum is an exact 0"""
+    (tmp_path / "h2.hecke").write_text("q 2 kmin 0\n1 1 1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("places = inf,2\nhecke_2 = h2.hecke\n"
+                   "f_pos = 0:2:1,1\nphi_pos = -2:2:1/2\n")
+    assert run(["assemble", "--config", str(cfg), "--base-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "one_dim_geometric\t0", "one_dim_spectral\t2",
+        "residual_geometric\t0", "residual_spectral\t0",
+        "t\tquarter_phi\tone_dim\tbracket", "total\t\t\t0"]
+
+
 def test_assemble_deterministic(assemble_cfg, capsys):
     cfg, base = assemble_cfg
     run(["assemble", "--config", cfg, "--base-dir", base])
