@@ -402,7 +402,7 @@ def residual_breakdown(f):
             for v in sg.places:
                 psi *= hilbert_symbol(ch.c, t, v)
             s += pv * psi
-        out.append((ch.d, -Fraction(1, 4) * s / sg.order))
+        out.append((ch.d, -Fraction(1, 4) * s / sg.group.order))
     return out
 
 

@@ -3,9 +3,10 @@
 Two layers.  The abstract layer: finite abelian groups as tuples of
 cyclic orders, characters valued in exact cyclotomics, Fourier sums,
 and the finite Poisson identity.  The arithmetic layer: the group
-D_S = prod over v in S of Q_v^x / squares, modulo global S-units, whose
-characters are the quadratic characters of discriminant supported in S;
-evaluation goes through exact Hilbert symbols place by place.
+D_S = prod over v in S of Q_v^x / squares, modulo the diagonal S-units
+H_S.  Its characters are the annihilator of H_S under the Hilbert
+pairing, one quadratic character of discriminant supported in S each,
+and they are tabulated by exact Hilbert symbols place by place.
 """
 
 import itertools
@@ -533,6 +534,11 @@ def hilbert_symbol(a, b, place):
 # -- the S-class group D_S ----------------------------------------------
 
 
+def is_prime(n):
+    " trial division "
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _places_key(v):
     return (-1, 0) if v == INF_PLACE else (0, v)
 
@@ -550,7 +556,7 @@ def normalize_places(S):
         raise ValueError("place set %s lacks the archimedean place %s"
                          % (",".join(map(str, out)), INF_PLACE))
     for p in out[1:]:
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise ValueError("place %d is not a prime" % p)
     return out
 
@@ -610,14 +616,16 @@ class SClassGroup:
     Ambient space: the F2 vector space G_S = prod over v in S of
     Q_v^x/(Q_v^x)^2, with labeled coordinates.  H_S is the span of the
     diagonal images of -1 and the finite primes of S; the quotient D_S
-    is presented on the free coordinates left by eliminating H_S."""
+    is presented on the free coordinates left by eliminating H_S.  Its
+    dual, quad_chars, is the annihilator of H_S under the Hilbert
+    pairing: the functionals x -> prod over v of (c, x_v)_v, for c in
+    <-1, p in S>, that vanish on H_S.  The group itself is self.group."""
 
     def __init__(self, S):
         self.places = normalize_places(S)
         self.bit_labels = _bit_labels(self.places)
         self.nbits = len(self.bit_labels)
-        units = [-1] + [p for p in self.places[1:]]
-        self.hgens = [self._diagonal_vector(u) for u in units]
+        self.hgens = [self.diagonal_vector(u) for u in [-1] + self.places[1:]]
         self._echelon()
         free = [i for i in range(self.nbits) if i not in self.pivot_cols]
         self.free_idx = free
@@ -625,78 +633,26 @@ class SClassGroup:
                                         [self.bit_labels[i] for i in free])
         self._build_dual()
 
-    # group interface, delegated to the quotient presentation -----------
-
-    @property
-    def orders(self):
-        return self.group.orders
-
-    @property
-    def labels(self):
-        return self.group.labels
-
-    @property
-    def order(self):
-        return self.group.order
-
-    @property
-    def exponent(self):
-        return self.group.exponent
-
-    def identity(self):
-        return self.group.identity()
-
-    def elements(self):
-        return self.group.elements()
-
-    def add(self, g1, g2):
-        return self.group.add(g1, g2)
-
-    def neg(self, g):
-        return self.group.neg(g)
-
-    def contains(self, g):
-        return self.group.contains(g)
-
     # ambient vectors ---------------------------------------------------
 
-    def _diagonal_vector(self, t):
-        " full diagonal image: unit parts included at every place "
-        bits = []
-        for v in self.places:
-            bits.extend(local_square_class(t, v))
-        return tuple(b % 2 for b in bits)
-
     def diagonal_vector(self, t):
+        " full diagonal image of an S-unit t: unit parts included at every place "
         t = Fraction(t)
-        self._check_s_unit(t)
-        return self._diagonal_vector(t)
-
-    def section_vector(self, t):
-        """Section into the ambient space: sign at the archimedean place
-        and p^(val) at finite places, unit parts forgotten."""
-        t = Fraction(t)
-        self._check_s_unit(t)
-        bits = []
-        for v in self.places:
-            if v == INF_PLACE:
-                bits.append(1 if t < 0 else 0)
-            else:
-                n = t.numerator * t.denominator
-                val, _ = _split_val(abs(n), v)
-                if v == 2:
-                    bits.extend([val % 2, 0, 0])
-                else:
-                    bits.extend([val % 2, 0])
-        return tuple(bits)
-
-    def _check_s_unit(self, t):
         n = abs(t.numerator * t.denominator)
         for p in self.places[1:]:
             while n and n % p == 0:
                 n //= p
         if n != 1:
             raise ValueError("%s is not an S-unit for S = %s" % (t, self.places))
+        return tuple(b for v in self.places for b in local_square_class(t, v))
+
+    def section_vector(self, t):
+        """Section into the ambient space: the diagonal image with the
+        unit bits cleared, so the sign at the archimedean place and
+        p^(val) at finite places remain."""
+        return tuple(b if kind in ("sign", "val") else 0
+                     for b, (_, kind) in zip(self.diagonal_vector(t),
+                                             self.bit_labels))
 
     # quotient ----------------------------------------------------------
 
@@ -737,33 +693,19 @@ class SClassGroup:
     # dual --------------------------------------------------------------
 
     def _build_dual(self):
-        finite = self.places[1:]
-        cands = []
-        for signs in (1, -1):
-            for mask in itertools.product((0, 1), repeat=len(finite)):
-                c = signs
-                for p, e in zip(finite, mask):
-                    c *= p ** e
-                cands.append(c)
-        survivors = []
-        for c in cands:
-            ok = True
-            for u in [-1] + list(finite):
-                prod = 1
-                for v in self.places:
-                    prod *= hilbert_symbol(c, u, v)
-                if prod != 1:
-                    ok = False
-                    break
-            if ok:
-                survivors.append(c)
+        """Tabulate each candidate c on the ambient bits, one Hilbert
+        symbol per bit, and keep c when its table vanishes on H_S."""
+        units = [-1] + self.places[1:]
+        reps = [(lbl[0], _basis_rep(lbl)) for lbl in self.bit_labels]
         chars = []
-        for c in survivors:
-            d = c if c % 4 == 1 else 4 * c
-            table = tuple(
-                0 if hilbert_symbol(c, _basis_rep(lbl), lbl[0]) == 1 else 1
-                for lbl in self.bit_labels)
-            chars.append(QuadChar(d, c, self, table))
+        for mask in itertools.product((0, 1), repeat=len(units)):
+            c = math.prod(u for u, e in zip(units, mask) if e)
+            table = tuple(0 if hilbert_symbol(c, r, v) == 1 else 1
+                          for v, r in reps)
+            if all(sum(t & h for t, h in zip(table, row)) % 2 == 0
+                   for row in self.hgens):
+                d = c if c % 4 == 1 else 4 * c
+                chars.append(QuadChar(d, c, self, table))
         chars.sort(key=lambda ch: (abs(ch.d), ch.d < 0))
         self.quad_chars = chars
         assert len(chars) == self.group.order, \

@@ -218,8 +218,8 @@ def _cmd_poisson(args):
 
 def _cmd_class_group(args):
     sg = class_group_mod_squares(args.places.split(","))
-    print("group\t(Z/2)^%d" % len(sg.orders))
-    print("coords\t%s" % ",".join("%s:%s" % lb for lb in sg.labels))
+    print("group\t(Z/2)^%d" % len(sg.group.orders))
+    print("coords\t%s" % ",".join("%s:%s" % lb for lb in sg.group.labels))
     print("discriminants\t%s" % ",".join(str(ch.d) for ch in sg.quad_chars))
     return OK
 
@@ -436,3 +436,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

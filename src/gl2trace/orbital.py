@@ -15,23 +15,11 @@ import warnings
 from fractions import Fraction
 
 from .basicfn import RationalSeries, RationalFn, basic_coeff
-from .hecke import HeckeElement, LocalField, n_integral
+from .chargroup import is_prime
+from .hecke import n_integral
 from .rings import LaurentQ
 
-OrbitalValue = LaurentQ
-
 _INF = 10 ** 9
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _valp(x, p):
@@ -59,9 +47,13 @@ class SplitClass:
     __slots__ = ("field", "m1", "m2", "d", "t1", "t2")
 
     def __init__(self, field, t1, t2):
-        assert _is_prime(field.q), "rational class data needs a prime residue cardinality"
+        if not is_prime(field.q):
+            raise ValueError("rational class data needs a prime residue "
+                             "cardinality, got q = %d" % field.q)
         t1, t2 = Fraction(t1), Fraction(t2)
-        assert t1 != 0 and t2 != 0
+        if not t1 or not t2:
+            raise ValueError("split class diag(%s, %s) needs nonzero "
+                             "entries" % (t1, t2))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
@@ -87,7 +79,7 @@ class SplitClass:
             if d is None:
                 d = least
             if d == _INF or d is _INF:
-                return cls._singular(field, m1)
+                return cls.singular(field, m1)
             if d < least:
                 raise ValueError("d = %s not realizable at q = %s" % (d, q))
         obj = object.__new__(cls)
@@ -95,7 +87,7 @@ class SplitClass:
         object.__setattr__(obj, "m1", m1)
         object.__setattr__(obj, "m2", m2)
         object.__setattr__(obj, "d", d)
-        if _is_prime(q):
+        if is_prime(q):
             t1 = Fraction(q) ** m1
             if m1 != m2:
                 t2 = Fraction(q) ** m2
@@ -110,21 +102,17 @@ class SplitClass:
         return obj
 
     @classmethod
-    def _singular(cls, field, m):
+    def singular(cls, field, m=0):
+        " the central class diag(p^m, p^m) "
         obj = object.__new__(cls)
         object.__setattr__(obj, "field", field)
         object.__setattr__(obj, "m1", m)
         object.__setattr__(obj, "m2", m)
         object.__setattr__(obj, "d", _INF)
-        t = Fraction(field.q) ** m if _is_prime(field.q) else None
+        t = Fraction(field.q) ** m if is_prime(field.q) else None
         object.__setattr__(obj, "t1", t)
         object.__setattr__(obj, "t2", t)
         return obj
-
-    @classmethod
-    def singular(cls, field, m=0):
-        " the central class diag(p^m, p^m) "
-        return cls._singular(field, m)
 
     @property
     def regular(self):
@@ -168,8 +156,11 @@ def tree_orbital_oracle(h, gamma, depth):
     if depth < 0:
         raise ValueError("tree depth = %d is negative: it counts denominator "
                          "exponents >= 0" % depth)
-    assert gamma.regular
-    assert gamma.t1 is not None, "oracle needs explicit rational entries"
+    if not gamma.regular:
+        raise ValueError("orbital integral undefined at a singular class")
+    if gamma.t1 is None:
+        raise ValueError("the tree oracle needs explicit rational entries, "
+                         "and q = %d is not a prime" % gamma.field.q)
     q = h.field.q
     t1, t2 = gamma.t1, gamma.t2
     diff = t1 - t2

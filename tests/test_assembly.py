@@ -582,7 +582,7 @@ def test_torus_level_poisson():
     for t, fv, _ in torus_support(f):
         values[sg.project(Fraction(t))] += fv
     F = GroupFunction(sg.group, values)
-    lhs, rhs = poisson_check(sg.group, [sg.identity()], F)
+    lhs, rhs = poisson_check(sg.group, [sg.group.identity()], F)
     assert lhs == rhs
     # the identity fiber is empty here: +-2 project nontrivially
     assert lhs == 0

@@ -1,6 +1,7 @@
 """Finite Fourier analysis, arithmetic symbols, and the D_S model."""
 
 import cmath
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import gl2trace
+from gl2trace import chargroup
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,
                                 GroupCharacter, GroupFunction, QuadChar,
                                 annihilator, characters,
@@ -456,19 +458,19 @@ def test_symbol_input_checks_survive_optimize():
 
 def test_class_group_infinity_only():
     g = class_group_mod_squares([INF])
-    assert g.order == 1
+    assert g.group.order == 1
     assert [ch.d for ch in g.quad_chars] == [1]
 
 
 def test_class_group_inf_2():
     g = class_group_mod_squares([INF, 2])
-    assert g.orders == (2, 2)
+    assert g.group.orders == (2, 2)
     assert sorted(ch.d for ch in g.quad_chars) == [-8, -4, 1, 8]
 
 
 def test_class_group_inf_2_3():
     g = class_group_mod_squares([INF, 2, 3])
-    assert g.orders == (2, 2, 2)
+    assert g.group.orders == (2, 2, 2)
     assert len(g.quad_chars) == 8
     ds = sorted(ch.d for ch in g.quad_chars)
     assert ds == [-24, -8, -4, -3, 1, 8, 12, 24]
@@ -476,7 +478,7 @@ def test_class_group_inf_2_3():
 
 def test_class_group_inf_2_3_5():
     g = class_group_mod_squares([INF, 2, 3, 5])
-    assert g.order == 16
+    assert g.group.order == 16
     assert len({ch.d for ch in g.quad_chars}) == 16
 
 
@@ -503,18 +505,18 @@ def diagonal_class(sgroup, t):
 
 def test_project_examples():
     g = class_group_mod_squares([INF, 2])
-    assert project_to_D(1, g) == g.identity()
+    assert project_to_D(1, g) == g.group.identity()
     # -1 touches only the sign coordinate; its class generates
     assert g.section_vector(Fraction(-1)) == (1, 0, 0, 0)
     minus = project_to_D(-1, g)
     assert minus == g.reduce_vector((1, 0, 0, 0))
-    assert minus != g.identity()
+    assert minus != g.group.identity()
     # the uniformizer section (0,1,0,0) happens to coincide with the
     # full diagonal of 2 when S = {inf, 2}, so its class degenerates
     assert g.section_vector(Fraction(2)) == (0, 1, 0, 0)
     two = project_to_D(2, g)
     assert two == g.reduce_vector((0, 1, 0, 0))
-    assert two == g.identity()
+    assert two == g.group.identity()
     with pytest.raises(ValueError):
         project_to_D(Fraction(3), g)
 
@@ -522,13 +524,13 @@ def test_project_examples():
 def test_project_is_section_not_diagonal():
     " with 3 in S the unit part of 2 at 3 separates the two maps "
     g = class_group_mod_squares([INF, 2, 3])
-    assert project_to_D(2, g) != g.identity()
-    assert diagonal_class(g, 2) == g.identity()
-    assert project_to_D(3, g) != g.identity()
+    assert project_to_D(2, g) != g.group.identity()
+    assert diagonal_class(g, 2) == g.group.identity()
+    assert project_to_D(3, g) != g.group.identity()
     # project is a homomorphism on S-units
     for s, t in [(-1, 2), (2, 3), (-3, Fraction(1, 6))]:
         lhs = project_to_D(Fraction(s) * Fraction(t), g)
-        rhs = g.add(project_to_D(s, g), project_to_D(t, g))
+        rhs = g.group.add(project_to_D(s, g), project_to_D(t, g))
         assert lhs == rhs
 
 
@@ -546,7 +548,7 @@ def test_diagonal_classes_are_trivial():
             rationals.add(t)
             rationals.add(1 / t)
         for t in rationals:
-            assert diagonal_class(g, t) == g.identity(), (S, t)
+            assert diagonal_class(g, t) == g.group.identity(), (S, t)
 
 
 def test_quad_char_eval_frozen():
@@ -584,17 +586,89 @@ def test_compatibility_section_vs_kronecker():
                 assert got == want, (S, ch.d, t)
 
 
+def hilbert_product(c, u, places):
+    " the explicit reciprocity product: prod over v in S of (c, u)_v "
+    prod = 1
+    for v in places:
+        prod *= hilbert_symbol(c, u, v)
+    return prod
+
+
+DUAL_PLACE_SETS = [[INF], [INF, 2], [INF, 3], [INF, 2, 3], [INF, 3, 5, 7],
+                   [INF, 2, 5, 13, 17], [INF, 3, 5, 7, 11, 13, 17],
+                   [INF, 2, 3, 5, 7, 11, 13]]
+
+
 def test_quad_char_on_vector_respects_hilbert():
-    g = class_group_mod_squares([INF, 2, 3])
-    for ch in g.quad_chars:
-        for t in (-1, 2, 3, -6, Fraction(2, 3)):
-            vec = g.diagonal_vector(Fraction(t))
-            prod = 1
-            for v in g.places:
-                prod *= hilbert_symbol(ch.c, t, v)
-            assert ch.on_vector(vec) == prod
-            # and the product is 1: live reciprocity for survivors
-            assert prod == 1
+    """the dual is exactly the c in <-1, p in S> whose reciprocity
+    product against -1 and every p in S is 1, and each character's
+    table is the Hilbert pairing with its c"""
+    for S in DUAL_PLACE_SETS:
+        g = class_group_mod_squares(S)
+        finite = g.places[1:]
+        units = [-1] + finite
+        kept = {ch.c for ch in g.quad_chars}
+        for mask in range(1 << len(units)):
+            c = 1
+            for i, u in enumerate(units):
+                if mask >> i & 1:
+                    c *= u
+            live = all(hilbert_product(c, u, g.places) == 1 for u in units)
+            assert (c in kept) == live, (S, c)
+        # without 2 in S, half of the candidates fail reciprocity
+        assert len(kept) * (1 if 2 in finite else 2) == 1 << len(units), S
+        points = units + [-math.prod(finite)]
+        if finite:
+            points.append(Fraction(finite[0], finite[-1]))
+        for ch in g.quad_chars:
+            for t in points:
+                prod = hilbert_product(ch.c, t, g.places)
+                assert ch.on_vector(g.diagonal_vector(t)) == prod == 1, (S, ch, t)
+
+
+def test_dual_takes_one_symbol_per_candidate_and_bit(monkeypatch):
+    " 2^|S| candidates c, one Hilbert symbol for each ambient bit "
+    calls = [0]
+    real = chargroup.hilbert_symbol
+
+    def counted(a, b, v):
+        calls[0] += 1
+        return real(a, b, v)
+
+    monkeypatch.setattr(chargroup, "hilbert_symbol", counted)
+    for S in DUAL_PLACE_SETS:
+        calls[0] = 0
+        g = chargroup.SClassGroup(S)
+        assert calls[0] == (1 << len(g.places)) * g.nbits, S
+
+
+def hand_section_vector(g, t):
+    " sign and valuations mod 2 read off t by hand, unit bits 0 "
+    t = Fraction(t)
+    bits = []
+    for v in g.places:
+        if v == INF:
+            bits.append(1 if t < 0 else 0)
+        else:
+            val = 0
+            n = abs(t.numerator * t.denominator)
+            while n % v == 0:
+                n //= v
+                val += 1
+            bits.extend([val % 2] + [0] * (2 if v == 2 else 1))
+    return tuple(bits)
+
+
+def test_section_vector_matches_hand_valuations():
+    rng = random.Random(11)
+    for S in DUAL_PLACE_SETS:
+        g = class_group_mod_squares(S)
+        for _ in range(40):
+            t = Fraction(rng.choice((1, -1)))
+            for p in g.places[1:]:
+                t *= Fraction(p) ** rng.randint(-3, 3)
+            assert g.section_vector(t) == hand_section_vector(g, t), (S, t)
+            assert g.project(t) == g.reduce_vector(hand_section_vector(g, t))
 
 
 def test_unramified_flags():

@@ -128,6 +128,24 @@ def test_class_group(capsys):
     out = capsys.readouterr().out
     assert "group\t(Z/2)^2" in out
     assert "discriminants\t1,-4,8,-8" in out
+    # with 2 outside S, half of the candidates c fail reciprocity
+    assert run(["class-group", "--places", "inf,3,5,7"]) == 0
+    assert capsys.readouterr().out == ("group\t(Z/2)^3\n"
+                                       "coords\t5:val,7:val,7:nonres\n"
+                                       "discriminants\t1,-3,5,-7,-15,21,-35,105\n")
+
+
+def test_module_runs_the_cli():
+    " python -m gl2trace.cli runs the command line and keeps its exit code "
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    ok = subprocess.run([sys.executable, "-m", "gl2trace.cli", "tau", "--x", "30"],
+                        env=env, capture_output=True, text=True, timeout=60)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines()[:3] == ["p,ap", "2,-24", "3,252"]
+    bad = subprocess.run([sys.executable, "-m", "gl2trace.cli", "tau", "--x", "1"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "x = 1" in bad.stderr
 
 
 def test_assemble(assemble_cfg, capsys):
@@ -306,6 +324,10 @@ def bad_file_values(tmp_path):
     good.write_text("q 3 kmin 0\n1 0 1\n")
     cases.append((["orbital", "--q", "3", "--gamma", "1,0", "--in", str(good),
                    "--depth", "-1"], "depth = -1"))
+    q4 = tmp_path / "t4.hecke"
+    q4.write_text("q 4 kmin 0\n1 0 1\n")
+    cases.append((["orbital", "--q", "4", "--gamma", "1,0", "--in", str(q4),
+                   "--depth", "2"], "q = 4 is not a prime"))
     for i, (text, value) in enumerate([
             ("places = inf,2,3\nhecke_3 = bad0.hecke\n", "line 2 '1 0 1/0'"),
             ("places = inf,2\nf_pos = -2:2:1/0\n", "piece '-2:2:1/0'")]):

@@ -22,6 +22,19 @@ def test_split_class_from_rationals():
     assert g.disc_half() == LaurentQ.v_power(0 - 2 * (-1), 3)
 
 
+def test_split_class_rejects_bad_input():
+    with pytest.raises(ValueError, match="got q = 4"):
+        SplitClass(LocalField(4), 1, 2)
+    with pytest.raises(ValueError, match=r"diag\(0, 3\) needs nonzero"):
+        SplitClass(LocalField(3), 0, 3)
+    with pytest.raises(ValueError, match="q = 4 is not a prime"):
+        tree_orbital_oracle(HeckeElement.unit(LocalField(4)),
+                            SplitClass.from_data(LocalField(4), 1, 0), 2)
+    with pytest.raises(ValueError, match="singular class"):
+        tree_orbital_oracle(HeckeElement.unit(LocalField(3)),
+                            SplitClass.singular(LocalField(3)), 2)
+
+
 def test_split_class_from_data():
     field = LocalField(2)
     g = SplitClass.from_data(field, 1, 0)
