@@ -140,8 +140,9 @@ class ArchProfile:
                 return coeffs
         return None
 
-    def value_at(self, t, numeric=False):
-        " pointwise value at rational t != 0; exact unless impossible "
+    def value_at(self, t):
+        """exact pointwise value at rational t != 0; ExactnessError where
+        a non-constant piece would need log|t| at |t| != 1"""
         t = Fraction(t)
         if not t:
             raise ValueError("profile value at t = 0: the profiles live on R^x")
@@ -150,16 +151,10 @@ class ArchProfile:
             return Fraction(0)
         if abs(t) == 1 or len(coeffs) == 1:
             return coeffs[0]  # the polynomial at l = 0, or a constant
-        if not numeric:
-            raise ExactnessError(
-                "profile piece has degree %d at the irrational point "
-                "log(%s); only |t| = 1 or constant pieces evaluate "
-                "exactly" % (len(coeffs) - 1, abs(t)))
-        import mpmath
-        with mpmath.workdps(40):
-            el = mpmath.log(mpmath.mpf(t.numerator if t > 0 else -t.numerator)
-                            / t.denominator)
-            return float(sum(float(c) * el ** k for k, c in enumerate(coeffs)))
+        raise ExactnessError(
+            "profile piece has degree %d at the irrational point "
+            "log(%s); only |t| = 1 or constant pieces evaluate "
+            "exactly" % (len(coeffs) - 1, abs(t)))
 
     def __eq__(self, other):
         return (isinstance(other, ArchProfile)
@@ -184,6 +179,8 @@ def parse_pieces(text):
                         [Fraction(c) for c in bits[2].split(",")]))
         except ZeroDivisionError:
             raise ValueError("piece %r has a denominator 0" % part) from None
+        except ValueError as e:
+            raise ValueError("piece %r: %s" % (part, e)) from None
     return tuple(out)
 
 
@@ -195,10 +192,19 @@ def format_pieces(pieces):
 # -- test functions and constants ---------------------------------------
 
 
+def _volume(key, value):
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("%s = %s has a denominator 0" % (key, value)) from None
+    except ValueError as e:
+        raise ValueError("%s = %s: %s" % (key, value, e)) from None
+
+
 class NormalizationConstants:
     def __init__(self, vol_k=1, vol_gbar=1):
-        self.vol_k = Fraction(vol_k)
-        self.vol_gbar = Fraction(vol_gbar)
+        self.vol_k = _volume("vol_k", vol_k)
+        self.vol_gbar = _volume("vol_gbar", vol_gbar)
         if self.vol_k <= 0 or self.vol_gbar <= 0:
             raise ValueError("volumes must be positive")
 
@@ -450,14 +456,22 @@ def numeric_verify(s_small):
     """Completed-zeta ratio xi(1-s)/xi(1+s) at s = s_small; tends to -1
     as s -> 0 (ratio of the simple poles at 0 and 1)."""
     s = float(s_small)
+    if not math.isfinite(s):
+        raise ValueError("s = %s is not finite" % s_small)
     if not s > 0:
         raise ValueError("s = %s is not > 0: the ratio is taken as s -> 0+"
                          % s_small)
+    if s < 1e-38:   # at 50 digits, 1 - s holds s to a relative 1e-50 / s
+        raise ValueError("s = %s is below 1e-38, where the ratio at 50 digits "
+                         "keeps fewer than the 12 digits printed" % s_small)
     import mpmath
     with mpmath.workdps(50):
         def xi(x):
             return mpmath.pi ** (-x / 2) * mpmath.gamma(x / 2) * mpmath.zeta(x)
-        return float(xi(1 - mpmath.mpf(s)) / xi(1 + mpmath.mpf(s)))
+        try:
+            return float(xi(1 - mpmath.mpf(s)) / xi(1 + mpmath.mpf(s)))
+        except ValueError as e:   # Gamma((1 - s)/2) at an odd integer s > 1
+            raise ValueError("s = %s meets a pole: %s" % (s_small, e)) from None
 
 
 # -- configuration ------------------------------------------------------
@@ -498,7 +512,10 @@ def load_config(text, base_dir="."):
                               neg=parse_pieces(values.pop("phi_neg", "")))
     hecke = {}
     for key in list(values):
-        p = int(key[len("hecke_"):])
+        try:
+            p = int(key[len("hecke_"):])
+        except ValueError:
+            raise ValueError("config key %r names no place" % key) from None
         path = os.path.join(base_dir, values.pop(key))
         try:
             with open(path) as fh:

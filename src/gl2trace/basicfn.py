@@ -15,7 +15,7 @@ module's central invariant.
 import re as _re
 from fractions import Fraction
 
-from .hecke import HeckeElement, LocalField, SymLaurent, inverse_satake, spherical_trace
+from .hecke import LocalField, SymLaurent, inverse_satake, spherical_trace
 from .rings import LaurentQ, QiNumber
 
 
@@ -25,7 +25,9 @@ class RepSpec:
     __slots__ = ("k", "m")
 
     def __init__(self, k, m=0):
-        assert isinstance(k, int) and k >= 0 and isinstance(m, int)
+        if not (isinstance(k, int) and k >= 0 and isinstance(m, int)):
+            raise ValueError("Sym^k tensor det^m wants integers k >= 0 and m, "
+                             "got k = %r, m = %r" % (k, m))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
 
@@ -123,52 +125,8 @@ def _coeff_token(c):
     return repr(c)
 
 
-def parse_qi(token):
-    " Gaussian rational from 'a', 'b*i', 'a+b*i', 'a-b*i' "
-    t = token.replace(" ", "")
-    if not t.endswith("*i") and t != "i" and not t.endswith("-i") and not t.endswith("+i"):
-        return QiNumber(Fraction(t), 0)
-    if t == "i":
-        return QiNumber(0, 1)
-    body = t[:-2] if t.endswith("*i") else t[:-1] + "1"
-    # split real part from imaginary coefficient at the last top-level sign
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/*":
-            re_part, im_part = body[:pos], body[pos:]
-            if im_part in ("+", "-"):
-                im_part += "1"
-            return QiNumber(Fraction(re_part), Fraction(im_part))
-    return QiNumber(0, Fraction(body if body not in ("+", "-") else body + "1"))
-
-
-def _parse_coeff(token, q=None):
-    if "i" in token:
-        return parse_qi(token)
-    if "," in token:
-        return LaurentQ.from_compact(token, q)
-    return LaurentQ(Fraction(token), 0, None)
-
-
 def _poly_text(coeffs):
-    return " ".join("%d:%s" % (k, _coeff_token(c)) for k, c in enumerate(coeffs) if _nz(c))
-
-
-def _parse_poly(text, q=None):
-    out = {}
-    for tok in text.split():
-        k, _, c = tok.partition(":")
-        out[int(k)] = _parse_coeff(c, q)
-    if not out:
-        return [LaurentQ(0)]
-    deg = max(out)
-    return [out.get(k, LaurentQ(0)) for k in range(deg + 1)]
-
-
-def _nz(c):
-    try:
-        return bool(c)
-    except TypeError:
-        return c != 0
+    return " ".join("%d:%s" % (k, _coeff_token(c)) for k, c in enumerate(coeffs) if c)
 
 
 def _as_fraction(c):
@@ -202,7 +160,11 @@ class RationalSeries:
         coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1
-        assert order >= 0 and len(coeffs) == order + 1
+        if order < 0:
+            raise ValueError("series order %d is negative" % order)
+        if len(coeffs) != order + 1:
+            raise ValueError("a series of order %d takes order + 1 = %d "
+                             "coefficients, got %d" % (order, order + 1, len(coeffs)))
         self.coeffs = coeffs
         self.order = order
 
@@ -227,47 +189,30 @@ class RationalSeries:
             self.order,
             " ".join("%d:%s" % (k, _coeff_token(c)) for k, c in enumerate(self.coeffs)))
 
-    @classmethod
-    def from_text(cls, text, q=None):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        order = int(lines[0].split()[1])
-        body = lines[1].split(":", 1)[1]
-        poly = _parse_poly(body, q)
-        poly += [LaurentQ(0)] * (order + 1 - len(poly))
-        return cls(poly[:order + 1], order)
-
 
 class RationalFn:
     """Ratio of polynomials in t, denominator normalized to constant
-    term 1; coefficients exact (or complex in numeric mode)."""
+    term 1; coefficients exact."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         num, den = list(num), list(den)
-        while len(num) > 1 and not _nz(num[-1]):
+        while len(num) > 1 and not num[-1]:
             num.pop()
-        while len(den) > 1 and not _nz(den[-1]):
+        while len(den) > 1 and not den[-1]:
             den.pop()
-        if not any(_nz(c) for c in den):
+        if not any(den):
             raise ZeroDivisionError("zero denominator")
         c0 = den[0]
-        if not _nz(c0):
+        if not c0:
             raise ValueError("denominator must be a unit at t = 0")
         if c0 != 1:
-            if hasattr(c0, "inverse"):
-                inv = c0.inverse()
-            elif isinstance(c0, (int, Fraction)):
-                inv = Fraction(1) / c0
-            else:
-                inv = 1.0 / c0
+            inv = c0.inverse() if hasattr(c0, "inverse") else Fraction(1) / c0
             num = [c * inv for c in num]
             den = [c * inv for c in den]
         self.num = num
         self.den = den
-
-    def degree(self):
-        return (len(self.num) - 1, len(self.den) - 1)
 
     def series(self, order):
         " expand to a RationalSeries of the given truncation order "
@@ -278,15 +223,6 @@ class RationalFn:
                 c = c - self.den[j] * out[n - j]
             out.append(c)
         return RationalSeries(out, order)
-
-    def evaluate(self, t):
-        num = 0j
-        for c in reversed(self.num):
-            num = num * t + complex(c)
-        den = 0j
-        for c in reversed(self.den):
-            den = den * t + complex(c)
-        return num / den
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
@@ -307,24 +243,11 @@ class RationalFn:
     def to_text(self):
         return "num: %s\nden: %s\n" % (_poly_text(self.num), _poly_text(self.den))
 
-    @classmethod
-    def from_text(cls, text, q=None):
-        num = den = None
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if ln.startswith("num:"):
-                num = _parse_poly(ln[4:], q)
-            elif ln.startswith("den:"):
-                den = _parse_poly(ln[4:], q)
-        if num is None or den is None:
-            raise ValueError("rational function text needs num: and den: lines")
-        return cls(num, den)
-
 
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not _nz(x):
+        if not x:
             continue
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
@@ -334,7 +257,7 @@ def _poly_mul(a, b):
 def _poly_str(p):
     parts = []
     for k, c in enumerate(p):
-        if not _nz(c):
+        if not c:
             continue
         if k == 0:
             parts.append(str(c))
@@ -346,29 +269,21 @@ def _poly_str(p):
 
 def local_l_factor(r, c):
     """L-factor of the parameter c in representation r:
-    1 / prod over weights (1 - alpha^e1 beta^e2 t), exact when c is."""
-    if c.exact:
-        den = [QiNumber(1)]
-        for (e1, e2) in rep_weights(r):
-            w = c.alpha ** e1 * c.beta ** e2
-            den = _poly_mul(den, [QiNumber(1), -w])
-        if all(x.im == 0 for x in den):
-            den = [LaurentQ(x.re) for x in den]
-        return RationalFn([LaurentQ(1)] if isinstance(den[0], LaurentQ) else [QiNumber(1)], den)
-    den = [1 + 0j]
+    1 / prod over weights (1 - alpha^e1 beta^e2 t), exact."""
+    den = [QiNumber(1)]
     for (e1, e2) in rep_weights(r):
         w = c.alpha ** e1 * c.beta ** e2
-        den = _poly_mul(den, [1 + 0j, -w])
-    return RationalFn([1 + 0j], den)
+        den = _poly_mul(den, [QiNumber(1), -w])
+    if all(x.im == 0 for x in den):
+        return RationalFn([LaurentQ(1)], [LaurentQ(x.re) for x in den])
+    return RationalFn([QiNumber(1)], den)
 
 
 def _trace_value(h, c):
     " spherical trace reduced to the smallest exact ring that holds it "
     val = spherical_trace(h, c)
-    if isinstance(val, LaurentQ):
-        assert val.v_free, "trace of a basic-function coefficient kept a v-part"
-        return val.a if isinstance(val.a, QiNumber) else LaurentQ(val.a)
-    return val
+    assert val.v_free, "trace of a basic-function coefficient kept a v-part"
+    return val.a if isinstance(val.a, QiNumber) else LaurentQ(val.a)
 
 
 def trace_series(r, c, N, field):
@@ -380,7 +295,8 @@ def truncated_basic_identity(r, c, N, field=None):
     """Two independent series whose agreement is the trace = L-factor
     identity: (traces of basic-function coefficients, L-factor
     expansion), both to order N."""
-    assert N >= 0
+    if N < 0:
+        raise ValueError("N = %s is negative: a series order is >= 0" % N)
     if field is None:
         field = LocalField(2)
     return trace_series(r, c, N, field), local_l_factor(r, c).series(N)

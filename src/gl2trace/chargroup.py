@@ -128,7 +128,7 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def conj(self):
-        " complex conjugation zeta -> zeta^(-1) "
+        " conjugation zeta -> zeta^(-1) "
         poly = [Fraction(0)] * self.L
         for k, c in enumerate(self.coeffs):
             poly[(-k) % self.L] += c
@@ -153,13 +153,6 @@ class CycloNumber:
 
     def __hash__(self):
         return hash((self.L, self.coeffs))
-
-    def __complex__(self):
-        z = 0j
-        for k, c in enumerate(self.coeffs):
-            z += float(c) * complex(math.cos(2 * math.pi * k / self.L),
-                                    math.sin(2 * math.pi * k / self.L))
-        return z
 
     def __repr__(self):
         if self.is_rational:
@@ -805,6 +798,8 @@ def parse_group_function(text):
         toks = ln.split()
         try:
             if toks[0] == "group":
+                if group is not None:
+                    raise ValueError("a second group line")
                 group = FiniteAbelianGroup(int(x) for x in toks[1:])
             elif toks[0] == "f" and len(toks) == 3:
                 if group is None:
@@ -813,6 +808,8 @@ def parse_group_function(text):
                 if not group.contains(elem):
                     raise ValueError("element %s is not in the group %s"
                                      % (toks[1], group.orders))
+                if elem in values:
+                    raise ValueError("duplicate element %s" % toks[1])
                 values[elem] = Fraction(toks[2])
             else:
                 raise ValueError("want 'group n1 n2 ...' or 'f e1,e2,... value'")

@@ -6,8 +6,8 @@ exact (`num/den`, `v^k`) unless --float asks for decimals.
 """
 
 import argparse
+import math
 import sys
-from fractions import Fraction
 
 from .assembly import (cartan_discrepancy, correction_term,
                        format_cartan_report, format_correction_report,
@@ -249,18 +249,33 @@ def _cmd_cartan_report(args):
     return OK
 
 
+def _s_value(bit):
+    " one --s-grid value and its ratio; a bad value is named before any output "
+    try:
+        s = float(bit)
+    except ValueError:
+        raise _Usage("--s-grid wants comma-separated numbers, got %r"
+                     % bit) from None
+    try:
+        return s, numeric_verify(s)
+    except ValueError as e:
+        raise _Usage("--s-grid value %s" % e) from None
+
+
 def _cmd_intertwine(args):
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _Usage("--tol %s is not a finite number > 0" % args.tol)
+    rows = [_s_value(bit) for bit in args.s_grid.split(",")]
     print("constant\t%d" % intertwining_constant())
-    grid = [float(s) for s in args.s_grid.split(",")]
     errs = []
-    for s in grid:
-        val = numeric_verify(s)
+    for s, val in rows:
         errs.append(abs(val + 1))
         print("s=%g\t%.12g\terr %.3g" % (s, val, errs[-1]))
-    if errs[-1] >= args.tol:
+    # written so that a NaN error fails both checks
+    if not errs[-1] < args.tol:
         print("FAIL final error %.3g above %.3g" % (errs[-1], args.tol))
         return FAIL
-    if any(a <= b for a, b in zip(errs, errs[1:])):
+    if not all(a > b for a, b in zip(errs, errs[1:])):
         print("FAIL error not strictly improving along the grid")
         return FAIL
     return OK
@@ -416,16 +431,21 @@ def run(argv=None):
     except SystemExit as e:
         return e.code if e.code is not None else USAGE
     handler, flags = COMMANDS[args.cmd]
-    dests = [(spec.get("dest", flag), spec) for flag, spec in flags.items()]
+    dests = [(spec.get("dest", flag), flag, spec) for flag, spec in flags.items()]
     try:
         _apply_config(args)
-        for dest, spec in dests:
+        for dest, flag, spec in dests:
             value = getattr(args, dest)
             if "type" in spec and isinstance(value, str):
-                setattr(args, dest, spec["type"](value))
+                # a str here came from --config; argparse typed the flags
+                try:
+                    setattr(args, dest, spec["type"](value))
+                except ValueError as e:
+                    raise _Usage("--config value %s = %s for --%s: %s"
+                                 % (dest, value, flag.replace("_", "-"), e)) from None
             elif value is None and "default" in spec:
                 setattr(args, dest, spec["default"])
-        for dest, spec in dests:
+        for dest, _, spec in dests:
             if spec.get("required") and getattr(args, dest) is None:
                 raise _Usage("missing a value for %r" % dest)
         return handler(args)

@@ -9,9 +9,9 @@ The transform to symmetric Laurent polynomials in the dual-torus
 coordinates Y1, Y2 and its inverse are exact; half-integral powers of
 the residue cardinality live in the LaurentQ coefficient ring (v^2 = q).
 
-satake_transform, inverse_satake and the exact SymLaurent.evaluate sum
-integers: the coefficients over one common denominator, divided once per
-output value, so they are exact.  The tests keep ring-arithmetic oracles.
+satake_transform, inverse_satake and SymLaurent.evaluate sum integers:
+the coefficients over one common denominator, divided once per output
+value, so they are exact.  The tests keep ring-arithmetic oracles.
 """
 
 import math
@@ -316,7 +316,9 @@ class SymLaurent:
     def __init__(self, coeffs=None, q=None):
         clean = {}
         for (i, j), c in (coeffs or {}).items():
-            assert i >= j
+            if i < j:
+                raise ValueError("key (%s, %s) is not canonical: want i >= j"
+                                 % (i, j))
             if isinstance(c, (int, Fraction)):
                 c = LaurentQ(c, 0, q)
             if c.q is not None:
@@ -392,32 +394,14 @@ class SymLaurent:
     __rmul__ = scale
 
     def evaluate(self, y1, y2):
-        """Substitute Y1 = y1, Y2 = y2 and v = +sqrt(q).  Gaussian
-        rationals (QiNumber; nonzero if an exponent is negative) give an
-        exact LaurentQ over Q(i): with y = z/d, z a Gaussian integer,
-        each monomial is (y1 y2)^lo times a Gaussian integer over
+        """Substitute Y1 = y1, Y2 = y2 and v = +sqrt(q) for Gaussian
+        rationals y1, y2 (QiNumber; nonzero if an exponent is negative),
+        giving an exact LaurentQ over Q(i).  With y = z/d, z a Gaussian
+        integer, each monomial is (y1 y2)^lo times a Gaussian integer over
         d1^e d2^e (lo the least exponent, e the span), so the sum is
-        integral over one common denominator, divided once.  Complex
-        numbers give a complex, from one power table per variable."""
+        integral over one common denominator, divided once."""
         lo = min((j for (_, j) in self.coeffs), default=0)
         hi = max((i for (i, _) in self.coeffs), default=0)
-        if isinstance(y1, QiNumber):
-            return self._evaluate_exact(y1, y2, lo, hi)
-        p1, p2 = [y1 ** lo], [y2 ** lo]
-        for _ in range(hi - lo):
-            p1.append(p1[-1] * y1)
-            p2.append(p2[-1] * y2)
-        rat = irr = 0
-        for (i, j), c in self.coeffs.items():
-            term = p1[i - lo] * p2[j - lo]
-            if i != j:
-                term = term + p1[j - lo] * p2[i - lo]
-            rat = c.a * term + rat
-            if c.b:
-                irr = c.b * term + irr
-        return complex(rat + irr * self.q ** 0.5 if irr else rat)
-
-    def _evaluate_exact(self, y1, y2, lo, hi):
         (z1, d1), (z2, d2) = _gaussian_integer(y1), _gaussian_integer(y2)
         e = hi - lo
         t1, t2 = _power_table(z1, d1, e), _power_table(z2, d2, e)
@@ -487,22 +471,6 @@ class SymLaurent:
             else:
                 lines.append("%d %d %s" % (i, j, c.a))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "q" or head[2] != "kmin":
-            raise ValueError("bad header: %r" % lines[0])
-        q, kmin = int(head[1]), int(head[3])
-        q = q if q else None
-        coeffs = {}
-        for ln in lines[1:]:
-            toks = ln.split()
-            key = (int(toks[0]), int(toks[1]))
-            powers = {kmin + k: Fraction(t) for k, t in enumerate(toks[2:])}
-            coeffs[key] = LaurentQ.from_powers(powers, q) if q else LaurentQ(powers.get(0, Fraction(0)))
-        return cls(coeffs, q)
 
 
 def n_integral(h, m1, m2):
@@ -593,25 +561,24 @@ def inverse_satake(poly, field=None):
 
 
 class SatakeParameter:
-    """Frobenius-Hecke parameter pair (alpha, beta).
+    """Frobenius-Hecke parameter pair (alpha, beta) of Gaussian rationals;
+    unit-circle points come from Pythagorean triples."""
 
-    Exact mode stores Gaussian rationals (unit-circle points come from
-    Pythagorean triples); numeric mode stores complex doubles."""
-
-    __slots__ = ("alpha", "beta", "exact")
+    __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha, beta):
-        exact = isinstance(alpha, QiNumber) and isinstance(beta, QiNumber)
-        if not exact:
-            alpha, beta = complex(alpha), complex(beta)
+        if not (isinstance(alpha, QiNumber) and isinstance(beta, QiNumber)):
+            raise ValueError("Satake parameters are Gaussian rationals "
+                             "(QiNumber), got %r and %r" % (alpha, beta))
         self.alpha = alpha
         self.beta = beta
-        self.exact = exact
 
     @classmethod
     def from_triple(cls, m, n, conj_pair=True):
         " unit-circle parameter from the Pythagorean triple generated by (m, n) "
-        assert m > n > 0
+        if not m > n > 0:
+            raise ValueError("a Pythagorean triple wants m > n > 0, got "
+                             "m = %s, n = %s" % (m, n))
         c = m * m + n * n
         alpha = QiNumber(Fraction(m * m - n * n, c), Fraction(2 * m * n, c))
         beta = alpha.conj() if conj_pair else alpha
@@ -621,18 +588,11 @@ class SatakeParameter:
     def trivial(cls):
         return cls(QiNumber(1), QiNumber(1))
 
-    def is_unitary(self, tol=1e-10):
-        if self.exact:
-            return self.alpha.abs2() == 1 and self.beta.abs2() == 1
-        return (abs(abs(self.alpha) - 1) < tol and abs(abs(self.beta) - 1) < tol)
-
     def __repr__(self):
         return "SatakeParameter(%s, %s)" % (self.alpha, self.beta)
 
 
 def spherical_trace(h, satp):
-    """Evaluate the transform of h at (alpha, beta), v = +sqrt(q).
-
-    Exact parameters give a LaurentQ over Q(i); numeric parameters give
-    complex."""
+    """Evaluate the transform of h at (alpha, beta), v = +sqrt(q): a
+    LaurentQ over Q(i)."""
     return satake_transform(h).evaluate(satp.alpha, satp.beta)

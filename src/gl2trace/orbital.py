@@ -227,7 +227,8 @@ def measure_phi_exponent(h, a):
 
 def orbital_zeta(gamma, r, N):
     """Series sum of f_G(basic_coeff(r, n), gamma) t^n to order N."""
-    assert N >= 0
+    if N < 0:
+        raise ValueError("N = %s is negative: a series order is >= 0" % N)
     if not gamma.regular:
         raise ValueError("zeta series needs a regular class")
     field = gamma.field

@@ -186,12 +186,6 @@ class LaurentQ:
             return float(self.a)
         return float(self.a) + float(self.b) * float(self.q) ** 0.5
 
-    def __complex__(self):
-        z = complex(self.a)
-        if self.b:
-            z += complex(self.b) * float(self.q) ** 0.5
-        return z
-
     # -- text forms -----------------------------------------------------
 
     def _monomials(self):
@@ -240,13 +234,6 @@ class LaurentQ:
         if not self.b:
             return str(self.a)
         return "%s,%s" % (self.a, self.b)
-
-    @classmethod
-    def from_compact(cls, s, q=None):
-        if "," in s:
-            a, b = s.split(",")
-            return cls(Fraction(a), Fraction(b), q)
-        return cls(Fraction(s), 0, q)
 
 
 class QiNumber:
@@ -348,9 +335,6 @@ class QiNumber:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __str__(self):
         if not self.im:

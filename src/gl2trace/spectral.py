@@ -1,17 +1,16 @@
-"""Hecke eigenvalue tables, unitary Satake parameters, partial Euler
-products, and the two pole-order estimators.
+"""Hecke eigenvalue tables, unitary Satake parameters, and the
+pole-order estimator.
 
-Everything here is numeric by design: the eigenvalue data is exact, the
-unitary normalization a_p / p^((k-1)/2) is not, so the module works in
-complex doubles and reports trends rather than asserting limits.
+The estimator is numeric by design: the eigenvalue data is exact, the
+unitary normalization a_p / p^((k-1)/2) is not, so it works in complex
+doubles and reports trends rather than asserting limits.
 """
 
 import bisect
 import cmath
 import math
 
-from .basicfn import RepSpec, local_l_factor, rep_weights
-from .hecke import SatakeParameter
+from .basicfn import RepSpec, rep_weights
 from .kernels import tau_table
 
 
@@ -68,44 +67,11 @@ class EigenTable:
             return ps
         return [p for p in ps if p < below]
 
-    def __eq__(self, other):
-        return (isinstance(other, EigenTable)
-                and (self.label, self.weight, self.ap_map)
-                == (other.label, other.weight, other.ap_map))
-
     def to_csv(self):
         lines = ["p,ap"]
         for p in self.primes():
             lines.append("%d,%d" % (p, self.ap_map[p]))
         return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
-
-def loads_eigentable(text, label="Delta", weight=12):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != "p,ap":
-        raise ValueError("eigenvalue CSV needs a `p,ap` header")
-    ap = {}
-    for ln in lines[1:]:
-        bits = ln.split(",")
-        if len(bits) != 2:
-            raise ValueError("bad row: %r" % ln)
-        try:
-            p, a = int(bits[0]), int(bits[1])
-        except ValueError:
-            raise ValueError("non-integer entry in row %r" % ln)
-        if p in ap:
-            raise ValueError("duplicate prime %d" % p)
-        ap[p] = a
-    return EigenTable(label, weight, ap)
-
-
-def load_eigentable(path, label="Delta", weight=12):
-    with open(path) as fh:
-        return loads_eigentable(fh.read(), label=label, weight=weight)
 
 
 def delta_qexpansion(x):
@@ -117,54 +83,12 @@ def delta_qexpansion(x):
     return EigenTable("Delta", 12, ap, bound=x + 1)
 
 
-class UnitarySatake:
-    """Unit-determinant parameter pair at p: alpha*beta = 1 and
-    alpha + beta = a_p / p^((k-1)/2)."""
-
-    __slots__ = ("p", "alpha", "beta")
-
-    def __init__(self, p, alpha, beta):
-        self.p = p
-        self.alpha = complex(alpha)
-        self.beta = complex(beta)
-        assert abs(self.alpha * self.beta - 1) < 1e-9
-
-    def ramanujan(self, tol=1e-10):
-        return (abs(abs(self.alpha) - 1) < tol
-                and abs(abs(self.beta) - 1) < tol)
-
-    def parameter(self):
-        return SatakeParameter(self.alpha, self.beta)
-
-    def trace(self):
-        return self.alpha + self.beta
-
-    def __repr__(self):
-        return "UnitarySatake(p=%d, %s, %s)" % (self.p, self.alpha, self.beta)
-
-
 def satake_from_ap(table, p):
+    """The unit-determinant parameter pair (alpha, beta) at p, complex:
+    alpha * beta = 1 and alpha + beta = a_p / p^((k-1)/2)."""
     a = table.ap(p) / p ** ((table.weight - 1) / 2)
     disc = cmath.sqrt(complex(a * a - 4))
-    return UnitarySatake(p, (a + disc) / 2, (a - disc) / 2)
-
-
-def _local_factor_value(r, c, t):
-    if isinstance(r, AdjointProxy):
-        # pair weights {alpha^2, 1, 1, beta^2}: the Sym^2 factor with
-        # one more (1 - t) pole
-        return local_l_factor(RepSpec(2), c).evaluate(t) / (1 - t)
-    return local_l_factor(r, c).evaluate(t)
-
-
-def partial_euler(r, table, s, x):
-    """Product over primes p <= x of the local L-factor of r at the
-    unitary parameter, evaluated at t = p^(-s).  x = 1 gives 1."""
-    total = complex(1)
-    for p in table.primes(below=x + 1):
-        c = satake_from_ap(table, p).parameter()
-        total *= _local_factor_value(r, c, p ** (-complex(s)))
-    return total
+    return (a + disc) / 2, (a - disc) / 2
 
 
 # -- pole-order estimators ----------------------------------------------
@@ -226,9 +150,9 @@ def estimator_series(r, table, ns):
             raise ValueError("no primes below %s in the table" % n)
     terms = []
     for p in ps[:max(counts, default=0)]:
-        c = satake_from_ap(table, p)
+        alpha, beta = satake_from_ap(table, p)
         # log measure weight against the real part of the trace
-        terms.append(math.log(p) * complex(_trace_of(r, c.alpha, c.beta)).real)
+        terms.append(math.log(p) * complex(_trace_of(r, alpha, beta)).real)
     return [(n, pairwise_sum(terms[:k]) / k) for n, k in zip(ns, counts)]
 
 
@@ -237,28 +161,3 @@ def format_estimates(rows):
     for n, est in rows:
         lines.append("%d,%r" % (n, est))
     return "\n".join(lines) + "\n"
-
-
-def residue_estimator(r, table, s_grid):
-    """Rows (s, (s-1) * partial_euler(r, table, s, X)) with X doubled
-    until two truncations agree to 1e-4 or the table is exhausted;
-    returned for trend inspection, never asserted convergent."""
-    if not table.primes():
-        raise ValueError("empty eigenvalue table")
-    top = table.bound - 1
-    rows = []
-    for s in s_grid:
-        s = float(s)
-        if not s > 1:
-            raise ValueError("s = %r is not above 1" % s)
-        x = min(64, top)
-        prev = partial_euler(r, table, s, x)
-        while x < top:
-            x = min(2 * x, top)
-            cur = partial_euler(r, table, s, x)
-            stable = abs(cur - prev) < 1e-4 * max(1.0, abs(cur))
-            prev = cur
-            if stable:
-                break
-        rows.append((s, (s - 1) * prev.real))
-    return rows

@@ -48,6 +48,15 @@ def mixed_function(rng, group):
                                  for e in group.elements()})
 
 
+def as_complex(x):
+    " a CycloNumber in floating point, under zeta_L -> exp(2 pi i / L) "
+    z = 0j
+    for k, c in enumerate(x.coeffs):
+        z += float(c) * complex(math.cos(2 * math.pi * k / x.L),
+                                math.sin(2 * math.pi * k / x.L))
+    return z
+
+
 def numeric_fourier(f, psi):
     " the character sum in floating point, by complex exponentials "
     L = f.group.exponent
@@ -93,8 +102,8 @@ def test_cyclo_arithmetic():
     assert z * CycloNumber.zeta(5, 4) == 1
     w = CycloNumber.zeta(8)
     assert w * w == CycloNumber.zeta(8, 2)
-    assert abs(complex(w * w) - 1j) < 1e-12  # zeta_8^2 = i
-    assert abs(complex(w) - cmath.exp(2j * cmath.pi / 8)) < 1e-12
+    assert abs(as_complex(w * w) - 1j) < 1e-12  # zeta_8^2 = i
+    assert abs(as_complex(w) - cmath.exp(2j * cmath.pi / 8)) < 1e-12
 
 
 def test_cyclo_numeric_agreement():
@@ -103,8 +112,8 @@ def test_cyclo_numeric_agreement():
         deg = len(cyclotomic_poly(L)) - 1
         a = CycloNumber(L, [rng.randint(-4, 4) for _ in range(deg)])
         b = CycloNumber(L, [rng.randint(-4, 4) for _ in range(deg)])
-        assert abs(complex(a * b) - complex(a) * complex(b)) < 1e-9
-        assert abs(complex(a + b) - (complex(a) + complex(b))) < 1e-9
+        assert abs(as_complex(a * b) - as_complex(a) * as_complex(b)) < 1e-9
+        assert abs(as_complex(a + b) - (as_complex(a) + as_complex(b))) < 1e-9
 
 
 # -- groups, characters, Poisson ---------------------------------------
@@ -166,7 +175,7 @@ def test_fourier_matches_oracle(orders):
         assert fourier(zero, psi) == 0
         got = fourier(f, psi)
         assert got == fourier_cyclo(f, psi), psi
-        assert abs(complex(got) - numeric_fourier(f, psi)) < 1e-9
+        assert abs(as_complex(got) - numeric_fourier(f, psi)) < 1e-9
 
 
 def test_fourier_l720_matches_oracle():
@@ -177,7 +186,7 @@ def test_fourier_l720_matches_oracle():
     assert fourier(f, faithful) == fourier_cyclo(f, faithful)
     for exps in [(0, 0, 0), (8, 0, 0), (1, 3, 0), (5, 7, 1)]:
         psi = GroupCharacter(g, exps)
-        assert abs(complex(fourier(f, psi)) - numeric_fourier(f, psi)) < 1e-8
+        assert abs(as_complex(fourier(f, psi)) - numeric_fourier(f, psi)) < 1e-8
     # H = G: the annihilator is the trivial character alone
     H = subgroup_generated(g, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     lhs, rhs = poisson_check(g, H, f)

@@ -199,6 +199,18 @@ def test_intertwine(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("vals, fail", [
+    ([-0.9, -0.99, float("nan")], "FAIL final error nan"),
+    ([-0.9, float("nan"), -0.9999], "FAIL error not strictly improving"),
+])
+def test_intertwine_nan_error_fails(vals, fail, monkeypatch, capsys):
+    " a NaN ratio never reads as verified "
+    ratios = dict(zip((0.01, 0.001, 0.0001), vals))
+    monkeypatch.setattr(cli, "numeric_verify", lambda s: ratios[s])
+    assert run(["intertwine"]) == 1
+    assert fail in capsys.readouterr().out
+
+
 def test_tau_csv(tmp_path, capsys):
     out = tmp_path / "delta.csv"
     assert run(["tau", "--x", "30", "--out", str(out)]) == 0
@@ -294,6 +306,9 @@ BAD_VALUES = [
      "--n-grid value n = 10002 exceeds the table bound x + 1 = 10001"),
     (["estimate-mr", "--x", "10000", "--r", "spin7", "--n-grid", "100"],
      "unknown representation 'spin7'"),
+    (["intertwine", "--s-grid", "inf"], "--s-grid value s = inf is not finite"),
+    (["intertwine", "--s-grid", "1e-2,1e-300"], "--s-grid value s = 1e-300 is below"),
+    (["intertwine", "--tol", "nan"], "--tol nan is not a finite number > 0"),
 ]
 
 
@@ -330,11 +345,18 @@ def bad_file_values(tmp_path):
                    "--depth", "2"], "q = 4 is not a prime"))
     for i, (text, value) in enumerate([
             ("places = inf,2,3\nhecke_3 = bad0.hecke\n", "line 2 '1 0 1/0'"),
-            ("places = inf,2\nf_pos = -2:2:1/0\n", "piece '-2:2:1/0'")]):
+            ("places = inf,2\nf_pos = -2:2:1/0\n", "piece '-2:2:1/0'"),
+            ("places = inf,2\nvol_k = 1/0\n", "vol_k = 1/0 has a denominator 0"),
+            ("places = inf,2\nvol_gbar = 3/0\n", "vol_gbar = 3/0 has a denominator 0")]):
         path = tmp_path / ("bad%d.cfg" % i)
         path.write_text(text)
-        cases.append((["assemble", "--config", str(path),
-                       "--base-dir", str(tmp_path)], value))
+        for cmd in ("assemble", "cartan-report"):
+            cases.append(([cmd, "--config", str(path),
+                           "--base-dir", str(tmp_path)], value))
+    flags = tmp_path / "flags.cfg"
+    flags.write_text("q = x\n")
+    cases.append((["phi-check", "--config", str(flags)],
+                  "--config value q = x for --q: "))
     return cases
 
 
@@ -399,6 +421,9 @@ def test_config_defaults(tmp_path, capsys):
     (["l-factor", "--q", "2", "--r", "std"], "check = abc", "'abc'"),
     (["intertwine"], "tol = x", "'x'"),
     (["tau"], "x = 3.5", "'3.5'"),
+    # the config key is the flag's dest, order; the message names --N
+    (["orbital-zeta", "--q", "2", "--r", "std", "--gamma", "1,0", "--fit", "1,1"],
+     "order = 8.0", "for --N: invalid literal for int() with base 10: '8.0'"),
 ])
 def test_config_value_typed(argv, line, value, tmp_path, capsys):
     " a config value goes through its flag's type, and a bad one is named "
@@ -407,6 +432,7 @@ def test_config_value_typed(argv, line, value, tmp_path, capsys):
     assert run(argv + ["--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and value in err
+    assert err.startswith("error: --config value %s for --" % line)
     assert out == ""
 
 
@@ -512,3 +538,5 @@ def test_perfbench_trace_names_resolve():
             owner = getattr(owner, bit)
     for mod, cls in trace.RING_CLASSES:
         assert isinstance(getattr(importlib.import_module("gl2trace." + mod), cls), type)
+    # perfbench/run.py prints the backend in its header line
+    assert isinstance(importlib.import_module("gl2trace.kernels").BACKEND, str)

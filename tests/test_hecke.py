@@ -461,7 +461,7 @@ def test_spherical_trace_exact():
     assert tr == LaurentQ(QiNumber(0), QiNumber(2), 2)
 
     sp = SatakeParameter.from_triple(2, 1)
-    assert sp.is_unitary()
+    assert sp.alpha.abs2() == sp.beta.abs2() == 1
     assert sp.alpha == QiNumber(Fraction(3, 5), Fraction(4, 5))
     tr2 = spherical_trace(tp, sp)
     assert tr2 == LaurentQ(QiNumber(0), QiNumber(Fraction(6, 5)), 2)
@@ -469,19 +469,9 @@ def test_spherical_trace_exact():
     assert spherical_trace(HeckeElement.unit(field), sp) == LaurentQ(QiNumber(1), QiNumber(0), 2)
 
 
-def test_spherical_trace_numeric():
-    field = LocalField(3)
-    tp = HeckeElement.char(field, (1, 0))
-    import cmath
-    theta = 0.7
-    sp = SatakeParameter(cmath.exp(1j * theta), cmath.exp(-1j * theta))
-    got = spherical_trace(tp, sp)
-    assert abs(got - 3 ** 0.5 * 2 * cmath.cos(theta).real) < 1e-12
-
-
 @pytest.mark.parametrize("q", [2, 3, 7])
 def test_spherical_trace_matches_naive(q):
-    " exact branch against per-monomial powers; numeric branch to 1e-12 "
+    " exact traces against per-monomial powers "
     rng = random.Random(300 + q)
     field = LocalField(q)
     params = [SatakeParameter.trivial(), SatakeParameter.from_triple(2, 1),
@@ -494,12 +484,9 @@ def test_spherical_trace_matches_naive(q):
         for sp in params:
             got = spherical_trace(h, sp)
             assert got == naive_evaluate(s, sp.alpha, sp.beta)
-            num = spherical_trace(h, SatakeParameter(complex(sp.alpha), complex(sp.beta)))
-            assert abs(num - complex(got)) <= 1e-12 * max(1.0, abs(complex(got)))
     zero = HeckeElement(field)
     for sp in params:
         assert spherical_trace(zero, sp) == LaurentQ(0, 0, q)
-        assert spherical_trace(zero, SatakeParameter(complex(sp.alpha), complex(sp.beta))) == 0
 
 
 def test_trace_is_linear_and_multiplicative():
@@ -529,11 +516,6 @@ def test_hecke_text_kmin_shift():
     h = HeckeElement.from_text("q 2 kmin -2\n1 0 4 0 0 6\n")
     # 4*v^-2 + 6*v = 2 + 6v at q = 2
     assert h == HeckeElement(LocalField(2), {(1, 0): LaurentQ(2, 6, 2)})
-
-
-def test_symlaurent_text_roundtrip():
-    s = SymLaurent({(2, 0): LaurentQ(1, 1, 5), (1, 1): Fraction(-7, 3)}, 5)
-    assert SymLaurent.from_text(s.to_text()) == s
 
 
 def test_symlaurent_str():

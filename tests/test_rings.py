@@ -107,8 +107,10 @@ def test_str_forms():
 
 
 def test_compact_roundtrip():
-    for x in [LaurentQ(Fraction(3, 2), Fraction(-1, 4), 5), LaurentQ(7), LaurentQ(0, 1, 2)]:
-        assert LaurentQ.from_compact(x.compact(), x.q) == x
+    assert LaurentQ(Fraction(3, 2), Fraction(-1, 4), 5).compact() == "3/2,-1/4"
+    assert LaurentQ(7).compact() == "7"
+    assert LaurentQ(0, 1, 2).compact() == "0,1"
+    assert LaurentQ(Fraction(-2, 3), 0, 3).compact() == "-2/3"
 
 
 gauss = st.builds(QiNumber, small_fraction, small_fraction)

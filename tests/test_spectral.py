@@ -1,4 +1,4 @@
-"""Eigenvalue tables, Satake normalization, Euler products, estimators."""
+"""Eigenvalue tables, Satake normalization, estimators."""
 
 import math
 import os
@@ -10,14 +10,12 @@ import pytest
 
 import gl2trace
 from gl2trace import kernels
-from gl2trace.basicfn import RepSpec, truncated_basic_identity
+from gl2trace.basicfn import RepSpec
 from gl2trace.kernels import tau_table
 from gl2trace.spectral import (AdjointProxy, EigenTable, _trace_of,
                                delta_qexpansion, estimator_series,
-                               format_estimates, load_eigentable,
-                               loads_eigentable, mr_estimator, pairwise_sum,
-                               parse_weighting, partial_euler, primes_below,
-                               residue_estimator, satake_from_ap)
+                               format_estimates, mr_estimator, pairwise_sum,
+                               parse_weighting, primes_below, satake_from_ap)
 
 STD = RepSpec(1)
 SYM2 = RepSpec(2)
@@ -250,79 +248,32 @@ def test_table_validation():
     EigenTable("x", 12, {}, bound=2)                 # empty is well-formed
 
 
-def test_csv_roundtrip(tmp_path):
-    t = delta_qexpansion(50)
-    path = tmp_path / "delta.csv"
-    t.save(str(path))
-    again = load_eigentable(str(path))
-    assert again == t
-    assert again.to_csv() == t.to_csv()
-
-
-def test_csv_errors():
-    with pytest.raises(ValueError):
-        loads_eigentable("x,y\n2,-24")
-    with pytest.raises(ValueError):
-        loads_eigentable("p,ap\n2,-24\n2,-24")
-    with pytest.raises(ValueError):
-        loads_eigentable("p,ap\n2,minus")
-    with pytest.raises(ValueError):
-        loads_eigentable("p,ap\n2,-24\n5,4830")      # 3 missing
-
-
 # -- Satake parameters --------------------------------------------------
+
+
+def on_unit_circle(alpha, beta, tol=1e-10):
+    " |alpha| = |beta| = 1: the Ramanujan bound at p "
+    return abs(abs(alpha) - 1) < tol and abs(abs(beta) - 1) < tol
 
 
 def test_satake_symmetric_case():
     t = EigenTable("x", 12, {2: 0}, bound=3)
-    c = satake_from_ap(t, 2)
-    assert abs(c.alpha - 1j) < 1e-12 and abs(c.beta + 1j) < 1e-12
-    assert c.ramanujan()
+    alpha, beta = satake_from_ap(t, 2)
+    assert abs(alpha - 1j) < 1e-12 and abs(beta + 1j) < 1e-12
+    assert on_unit_circle(alpha, beta)
 
 
 def test_satake_delta_p2():
     t = delta_qexpansion(10)
-    c = satake_from_ap(t, 2)
-    assert abs(c.trace() - (-24 / 2 ** 5.5)) < 1e-12
-    assert abs(c.alpha * c.beta - 1) < 1e-12
-    assert c.ramanujan()
+    alpha, beta = satake_from_ap(t, 2)
+    assert abs(alpha + beta - (-24 / 2 ** 5.5)) < 1e-12
+    assert abs(alpha * beta - 1) < 1e-12
+    assert on_unit_circle(alpha, beta)
 
 
 def test_ramanujan_scan():
     t = delta_qexpansion(300)
-    assert all(satake_from_ap(t, p).ramanujan() for p in t.primes())
-
-
-# -- Euler products -----------------------------------------------------
-
-
-def test_partial_euler_empty():
-    t = delta_qexpansion(10)
-    assert partial_euler(STD, t, 3, 1) == 1
-
-
-def test_partial_euler_single_factor():
-    t = delta_qexpansion(10)
-    a = -24 / 2 ** 5.5
-    tt = 2.0 ** -3
-    expect = 1 / (1 - a * tt + tt * tt)
-    assert abs(partial_euler(STD, t, 3, 2) - expect) < 1e-12
-
-
-def test_partial_euler_matches_trace_series():
-    " the trace side of the basic-function identity, summed at t = p^-s "
-    t = delta_qexpansion(10)
-    c = satake_from_ap(t, 2).parameter()
-    lhs, _ = truncated_basic_identity(STD, c, 40)
-    tt = 2.0 ** -3
-    series = sum(complex(cf) * tt ** n for n, cf in enumerate(lhs.coeffs))
-    assert abs(partial_euler(STD, t, 3, 2) - series) < 1e-10
-
-
-def test_partial_euler_cauchy():
-    t = delta_qexpansion(200)
-    vals = [partial_euler(SYM2, t, 3, x) for x in (10, 40, 160)]
-    assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
+    assert all(on_unit_circle(*satake_from_ap(t, p)) for p in t.primes())
 
 
 # -- estimators ---------------------------------------------------------
@@ -380,8 +331,8 @@ def reference_mr(r, table, n):
         raise ValueError("no primes below %s in the table" % n)
     terms = []
     for p in ps:
-        c = satake_from_ap(table, p)
-        terms.append(math.log(p) * complex(_trace_of(r, c.alpha, c.beta)).real)
+        alpha, beta = satake_from_ap(table, p)
+        terms.append(math.log(p) * complex(_trace_of(r, alpha, beta)).real)
     return pairwise_sum(terms) / len(ps)
 
 
@@ -404,12 +355,12 @@ def test_spectral_checks_survive_optimize():
     " named ValueErrors, not asserts, so python -O keeps them "
     code = ("from gl2trace.basicfn import RepSpec\n"
             "from gl2trace.spectral import (EigenTable, delta_qexpansion,\n"
-            "                               residue_estimator)\n"
+            "                               estimator_series)\n"
             "t = delta_qexpansion(100)\n"
             "for call in (lambda: EigenTable('x', 0, {}, bound=2),\n"
             "             lambda: EigenTable('x', 1.5, {}, bound=2),\n"
-            "             lambda: residue_estimator(RepSpec(0), t,\n"
-            "                                       [1.5, 1])):\n"
+            "             lambda: estimator_series(RepSpec(0), t,\n"
+            "                                      [50, 102])):\n"
             "    try:\n"
             "        call()\n"
             "    except ValueError as e:\n"
@@ -423,18 +374,7 @@ def test_spectral_checks_survive_optimize():
         assert proc.stdout.splitlines() == [
             "weight = 0 is not a positive integer",
             "weight = 1.5 is not a positive integer",
-            "s = 1.0 is not above 1"], flags
-
-
-def test_residue_estimator():
-    t = delta_qexpansion(2000)
-    rows = residue_estimator(TRIV, t, [1.5, 1.25])
-    assert [s for s, _ in rows] == [1.5, 1.25]
-    assert all(est > 0 for _, est in rows)
-    proxy_rows = residue_estimator(AdjointProxy(), t, [1.5])
-    assert proxy_rows[0][1] > 0
-    with pytest.raises(ValueError):
-        residue_estimator(TRIV, EigenTable("x", 12, {}, bound=2), [1.5])
+            "n = 102 exceeds the table bound 101"], flags
 
 
 def test_pairwise_sum():
