@@ -9,9 +9,11 @@ The transform to symmetric Laurent polynomials in the dual-torus
 coordinates Y1, Y2 and its inverse are exact; half-integral powers of
 the residue cardinality live in the LaurentQ coefficient ring (v^2 = q).
 
-satake_transform, inverse_satake and SymLaurent.evaluate sum integers:
-the coefficients over one common denominator, divided once per output
-value, so they are exact.  The tests keep ring-arithmetic oracles.
+convolve, SymLaurent.__mul__, satake_transform, inverse_satake and
+SymLaurent.evaluate sum integers: the coefficients over one common
+denominator, divided once per output value, so they are exact.  They
+take coefficients in Q[v] and raise TypeError on Q(i).  The tests keep
+ring-arithmetic oracles.
 """
 
 import math
@@ -50,7 +52,8 @@ class LocalField:
 
 def _check_key(key):
     a, b = key
-    assert isinstance(a, int) and isinstance(b, int)
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise TypeError("cocharacter pair %s is not a pair of integers" % (key,))
     if a < b:
         raise ValueError("cocharacter pair must be dominant: %s" % (key,))
     return a, b
@@ -122,7 +125,9 @@ class HeckeElement:
             key = _check_key(key)
             if isinstance(c, (int, Fraction)):
                 c = LaurentQ(c, 0, field.q)
-            assert isinstance(c, LaurentQ)
+            if not isinstance(c, LaurentQ):
+                raise TypeError("coefficient %r at %s is not an int, "
+                                "Fraction or LaurentQ" % (c, key))
             if c.q is not None and c.q != field.q:
                 raise ValueError("coefficient q mismatch")
             if c:
@@ -155,7 +160,12 @@ class HeckeElement:
         return hash((self.field, tuple(sorted((k, v) for k, v in self.coeffs.items()))))
 
     def __add__(self, other):
-        assert isinstance(other, HeckeElement) and other.field == self.field
+        if not isinstance(other, HeckeElement):
+            raise TypeError("cannot add %s to a HeckeElement"
+                            % type(other).__name__)
+        if other.field != self.field:
+            raise ValueError("mismatched base fields %s and %s"
+                             % (self.field, other.field))
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, LaurentQ(0, 0, self.field.q)) + c
@@ -244,17 +254,22 @@ def convolve(h1, h2):
     (f*g)(z) = sum over right-coset representatives x of the double
     cosets in supp f of f(x) g(x^-1 z); only the Smith type of x^-1 z
     matters, so representatives are processed in valuation classes.
+    Each key pair adds its integer coefficient product times the coset
+    count to an integer pair per output key, divided once at the end.
     """
     if h1.field != h2.field:
         raise ValueError("mismatched base fields")
     field = h1.field
     q = field.q
-    out = {}
-    for (a1, b1), c1 in h1.coeffs.items():
+    den1, parts1 = _integer_parts(h1.coeffs, "Hecke convolutions")
+    den2, parts2 = _integer_parts(h2.coeffs, "Hecke convolutions")
+    acc = {}
+    for (a1, b1), (x1, y1) in parts1.items():
         m1 = a1 - b1
         classes = _coset_classes(q, m1)
-        for (a2, b2), c2 in h2.coeffs.items():
-            c = c1 * c2
+        for (a2, b2), (x2, y2) in parts2.items():
+            # (x1 + y1 v)(x2 + y2 v) with v^2 = q
+            ca, cb = x1 * x2 + q * y1 * y2, x1 * y2 + y1 * x2
             dd = a1 + b1 + a2 + b2
             lo = b1 + b2
             hi = a1 + a2
@@ -273,16 +288,23 @@ def convolve(h1, h2):
                     if min(terms) == b2:
                         n += count
                 if n:
-                    key = (az, bz)
-                    out[key] = out.get(key, LaurentQ(0, 0, q)) + c * n
-    return HeckeElement(field, out)
+                    sa, sb = acc.get((az, bz), (0, 0))
+                    acc[(az, bz)] = (sa + ca * n, sb + cb * n)
+    den = den1 * den2
+    return HeckeElement(field, {k: LaurentQ(Fraction(a, den), Fraction(b, den), q)
+                                for k, (a, b) in acc.items() if a or b})
 
 
-def _integer_parts(coeffs):
-    " common denominator D of a + b*v coefficients; per key (a*D, b*D) "
+def _integer_parts(coeffs, kernel):
+    """common denominator D of a + b*v coefficients; per key (a*D, b*D).
+    `kernel` names the caller in the TypeError a Q(i) coefficient raises."""
     den = 1
-    for c in coeffs.values():
-        den = math.lcm(den, c.a.denominator, c.b.denominator)
+    try:
+        for c in coeffs.values():
+            den = math.lcm(den, c.a.denominator, c.b.denominator)
+    except AttributeError:   # a QiNumber part has no denominator
+        raise TypeError("%s take coefficients in Q[v], not Q(i)[v]: got %s"
+                        % (kernel, c)) from None
     return den, {k: (c.a.numerator * (den // c.a.denominator),
                      c.b.numerator * (den // c.b.denominator))
                  for k, c in coeffs.items()}
@@ -353,7 +375,9 @@ class SymLaurent:
         return self.coeffs == other.coeffs
 
     def __add__(self, other):
-        assert isinstance(other, SymLaurent)
+        if not isinstance(other, SymLaurent):
+            raise TypeError("cannot add %s to a SymLaurent"
+                            % type(other).__name__)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
@@ -373,23 +397,31 @@ class SymLaurent:
         (Y1^i1 Y2^j1 + sym)(Y1^i2 Y2^j2 + sym) has the canonical term
         (i1+i2, j1+j2) and, when both factors are off the diagonal, the
         cross term (i1+j2, j1+i2) up to order, which lands twice on a
-        diagonal key."""
+        diagonal key.  Products of integer parts accumulate per key and
+        are divided once by the product of the two denominators."""
         if not isinstance(other, SymLaurent):
             return self.scale(other)
         q = self.q if self.q is not None else other.q
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                c = c1 * c2
+        den1, parts1 = _integer_parts(self.coeffs, "SymLaurent products")
+        den2, parts2 = _integer_parts(other.coeffs, "SymLaurent products")
+        qv = q or 0   # with no q there are no v-parts
+        acc = {}
+        for (i1, j1), (x1, y1) in parts1.items():
+            for (i2, j2), (x2, y2) in parts2.items():
+                ca, cb = x1 * x2 + qv * y1 * y2, x1 * y2 + y1 * x2
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c
+                sa, sb = acc.get(k, (0, 0))
+                acc[k] = (sa + ca, sb + cb)
                 if i1 != j1 and i2 != j2:
                     a, b = i1 + j2, j1 + i2
                     if a == b:
-                        c = c + c
+                        ca, cb = ca + ca, cb + cb
                     k = (a, b) if a >= b else (b, a)
-                    out[k] = out.get(k, 0) + c
-        return SymLaurent(out, q)
+                    sa, sb = acc.get(k, (0, 0))
+                    acc[k] = (sa + ca, sb + cb)
+        den = den1 * den2
+        return SymLaurent({k: LaurentQ(Fraction(a, den), Fraction(b, den), q)
+                           for k, (a, b) in acc.items() if a or b}, q)
 
     __rmul__ = scale
 
@@ -405,7 +437,7 @@ class SymLaurent:
         (z1, d1), (z2, d2) = _gaussian_integer(y1), _gaussian_integer(y2)
         e = hi - lo
         t1, t2 = _power_table(z1, d1, e), _power_table(z2, d2, e)
-        den, parts = _integer_parts(self.coeffs)
+        den, parts = _integer_parts(self.coeffs, "exact evaluations")
         rr = ri = vr = vi = 0   # rational and v-parts, real and imaginary
         for (i, j), (ca, cb) in parts.items():
             i, j = i - lo, j - lo
@@ -501,7 +533,7 @@ def satake_transform(h):
     running sum down each diagonal, on the coefficients' integer parts
     over one common denominator, divided once per key."""
     q = h.field.q
-    den, parts = _integer_parts(h.coeffs)
+    den, parts = _integer_parts(h.coeffs, "Satake transforms")
     diagonals = {}
     for (a, b), ab in parts.items():
         diagonals.setdefault(a + b, {})[b] = ab
@@ -540,7 +572,7 @@ def inverse_satake(poly, field=None):
     q = field.q
     if poly.q is not None and poly.q != q:
         raise ValueError("mixed residue cardinalities %s and %s" % (poly.q, q))
-    den, parts = _integer_parts(poly.coeffs)
+    den, parts = _integer_parts(poly.coeffs, "inverse Satake transforms")
     top = {}
     for (a, b) in parts:
         top[a + b] = max(top.get(a + b, a), a)

@@ -22,18 +22,22 @@ from .rings import LaurentQ
 _INF = 10 ** 9
 
 
+def _vint(n, p):
+    " p-adic valuation of an integer; _INF for 0 "
+    if n == 0:
+        return _INF
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _valp(x, p):
     x = Fraction(x)
     if x == 0:
         return _INF
-    v, n, d = 0, x.numerator, x.denominator
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _vint(x.numerator, p) - _vint(x.denominator, p)
 
 
 class SplitClass:
@@ -152,7 +156,14 @@ def tree_orbital_oracle(h, gamma, depth):
     """Brute-force orbital integral: |D|^(1/2) times the sum of h over
     explicit matrices diag-plus-shear, one per unipotent coset with
     denominator exponent at most depth.  Warns when the truncation has
-    not stabilized."""
+    not stabilized.
+
+    The representatives are [[t1, (t1 - t2) j/q^depth], [0, t2]] for
+    j < q^depth.  v(t1), v(t2) and v(t1 t2) are read once; each
+    representative's corner entry has valuation v(n j) - v(d) - depth,
+    where t1 - t2 = n/d, read from the integer n*j.  The least of the
+    three entry valuations gives its double coset, and h is summed over
+    the count of representatives in each coset."""
     if depth < 0:
         raise ValueError("tree depth = %d is negative: it counts denominator "
                          "exponents >= 0" % depth)
@@ -164,19 +175,18 @@ def tree_orbital_oracle(h, gamma, depth):
     q = h.field.q
     t1, t2 = gamma.t1, gamma.t2
     diff = t1 - t2
-    total = LaurentQ(0, 0, q)
-    denom = Fraction(q) ** depth
+    diag = min(_valp(t1, q), _valp(t2, q))
+    dv = _valp(t1 * t2, q)
+    num, shift = diff.numerator, _vint(diff.denominator, q) + depth
+    counts = {}
     for j in range(q ** depth):
-        x = Fraction(j) / denom
-        m = ((t1, diff * x), (Fraction(0), t2))
-        vals = [_valp(m[0][0], q), _valp(m[0][1], q), _valp(m[1][1], q)]
-        d1 = min(vals)
-        if d1 >= _INF:
-            continue
-        dv = _valp(t1 * t2, q)
+        d1 = min(diag, _vint(num * j, q) - shift)
+        counts[d1] = counts.get(d1, 0) + 1
+    total = LaurentQ(0, 0, q)
+    for d1, n in counts.items():
         c = h.coeffs.get((dv - d1, d1))
         if c is not None:
-            total = total + c
+            total = total + c * n
     if h.coeffs:
         minb = min(b for (_, b) in h.coeffs)
         deep = min(gamma.m1, gamma.m2, gamma.d - depth - 1)

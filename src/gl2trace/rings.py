@@ -68,11 +68,14 @@ class LaurentQ:
 
     @classmethod
     def from_powers(cls, coeffs, q):
-        " reduce a {exponent: rational} Laurent expansion in v "
-        out = cls(0, 0, q)
+        """reduce a {exponent: rational} Laurent expansion in v: with
+        k = 2j + r, c*v^k = c*q^j*v^r goes to the a part (r = 0) or the
+        b part (r = 1)"""
+        parts = [Fraction(0), Fraction(0)]
         for k, c in coeffs.items():
-            out = out + cls.v_power(k, q) * fr(c)
-        return out
+            j, r = divmod(k, 2)
+            parts[r] += fr(c) * q ** j if j >= 0 else fr(c) / q ** -j
+        return cls(parts[0], parts[1], q)
 
     # -- ring structure -------------------------------------------------
 

@@ -6,15 +6,19 @@ and convolution values counted rep by rep.  Nothing here shares code
 with the class-based counting in the package.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gl2trace
 from gl2trace.hecke import (HeckeElement, LocalField, SatakeParameter,
-                            SymLaurent, convolve, coset_decomposition,
-                            coset_degree, inverse_satake, n_integral,
-                            satake_transform, spherical_trace)
+                            SymLaurent, _coset_classes, convolve,
+                            coset_decomposition, coset_degree, inverse_satake,
+                            n_integral, satake_transform, spherical_trace)
 from gl2trace.rings import LaurentQ, QiNumber
 
 INF = 10 ** 9
@@ -146,6 +150,53 @@ def test_convolution_matches_matrix_oracle(q, key1, key2):
     want = oracle_convolve(field, key1, key2)
     assert {k: c for k, c in got.coeffs.items()} == \
         {k: LaurentQ(n, 0, q) for k, n in want.items()}
+
+
+def loop_convolve(h1, h2):
+    """The coset-class count of convolve with LaurentQ arithmetic per
+    term: each key pair adds c1*c2*n to a LaurentQ per output key."""
+    q = h1.field.q
+    out = {}
+    for (a1, b1), c1 in h1.coeffs.items():
+        m1 = a1 - b1
+        classes = _coset_classes(q, m1)
+        for (a2, b2), c2 in h2.coeffs.items():
+            c = c1 * c2
+            dd = a1 + b1 + a2 + b2
+            for bz in range(b1 + b2, (dd + 1) // 2 + (dd % 2 == 0)):
+                az = dd - bz
+                if az < bz or az > a1 + a2:
+                    continue
+                n = 0
+                for i, w, count in classes:
+                    terms = [az - b1 - i, bz - b1 - (m1 - i)]
+                    if w is not None:   # val u, None for u = 0
+                        terms.append(w + bz - b1 - m1)
+                    if min(terms) == b2:
+                        n += count
+                if n:
+                    key = (az, bz)
+                    out[key] = out.get(key, LaurentQ(0, 0, q)) + c * n
+    return HeckeElement(h1.field, out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_convolve_matches_loop_oracle(q):
+    """Integer accumulation against the LaurentQ loop: random elements
+    with v-parts and negative keys, the empty element, and a sum that
+    cancels to 0 on one key"""
+    rng = random.Random(1300 + q)
+    field = LocalField(q)
+    hs = [random_hecke(rng, field) for _ in range(12)] + [HeckeElement(field)]
+    for h1 in hs:
+        for h2 in hs[::3]:
+            assert convolve(h1, h2) == loop_convolve(h1, h2)
+    # (T_p - (q+1) 1_(1,1)) * (T_p + 1): T_p*T_p puts q + 1 on (1, 1),
+    # and -(q+1) 1_(1,1) * 1 takes it off again
+    h1 = HeckeElement(field, {(1, 0): 1, (1, 1): -(q + 1)})
+    h2 = HeckeElement(field, {(1, 0): 1, (0, 0): 1})
+    want = {(2, 0): 1, (1, 0): 1, (2, 1): -(q + 1)}
+    assert convolve(h1, h2) == loop_convolve(h1, h2) == HeckeElement(field, want)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -374,9 +425,10 @@ def test_exact_evaluate_needs_nonzero_parameters_for_negative_exponents():
     assert SymLaurent({(2, 0): 1}, 3).evaluate(QiNumber(0), QiNumber(0, 1)) == LaurentQ(-1, 0, 3)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, None])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, None])
 def test_symlaurent_product_matches_naive(q):
-    " diagonal keys, negative exponents, v-parts, and q = None constants "
+    """diagonal keys, negative exponents, v-parts, q = None constants,
+    empty factors and a sum that cancels to 0 on one key"""
     rng = random.Random(900 + (q or 0))
     for _ in range(40):
         if q is None:
@@ -394,6 +446,26 @@ def test_symlaurent_product_matches_naive(q):
     assert y * y == SymLaurent({(2, 0): 1, (1, 1): 2})
     d = SymLaurent({(1, 1): LaurentQ(0, 1, 3), (0, -2): LaurentQ(2, -1, 3)}, 3)
     assert d * SymLaurent.one(3) == d == SymLaurent.one() * d
+    zero = SymLaurent({}, q)
+    assert (zero * d).coeffs == (d * zero).coeffs == {}
+    # (Y1 + Y2 - 2 Y1 Y2)(Y1 + Y2 + 1): the cross term's 2 Y1 Y2 cancels
+    p1 = SymLaurent({(1, 0): 1, (1, 1): -2}, q)
+    p2 = SymLaurent({(1, 0): 1, (0, 0): 1}, q)
+    want = SymLaurent({(2, 0): 1, (1, 0): 1, (2, 1): -2}, q)
+    assert p1 * p2 == naive_product(p1, p2) == want
+
+
+def test_symlaurent_product_rejects_gaussian_coefficients():
+    " the product reads integer parts, so its domain is Q[v] "
+    gauss = SymLaurent({(1, 0): LaurentQ(QiNumber(1, 1), 0, 3)}, 3)
+    plain = SymLaurent({(1, 0): LaurentQ(1, 1, 3)}, 3)
+    for p1, p2 in ((gauss, plain), (plain, gauss)):
+        with pytest.raises(TypeError, match=r"SymLaurent products take "
+                           r"coefficients in Q\[v\], not Q\(i\)\[v\]: got \(1\+1\*i\)"):
+            p1 * p2
+    h = HeckeElement(LocalField(3), {(1, 0): LaurentQ(QiNumber(0, 2), 0, 3)})
+    with pytest.raises(TypeError, match="Hecke convolutions take"):
+        convolve(h, h)
 
 
 @pytest.mark.parametrize("q,key", CASES)
@@ -539,3 +611,30 @@ def test_bad_header_rejected():
         HeckeElement.from_text("p 3 kmin 0\n1 0 1\n")
     with pytest.raises(ValueError):
         HeckeElement.from_text("")
+
+
+def test_hecke_checks_survive_optimize():
+    " named TypeErrors and ValueErrors, not asserts, so python -O keeps them "
+    code = ("from gl2trace.hecke import HeckeElement, LocalField, SymLaurent\n"
+            "f2, f3 = LocalField(2), LocalField(3)\n"
+            "for call in (lambda: HeckeElement(f2, {(1.0, 0): 1}),\n"
+            "             lambda: HeckeElement(f2, {(1, 0): 0.5}),\n"
+            "             lambda: HeckeElement.unit(f2) + 1,\n"
+            "             lambda: HeckeElement.unit(f2) + HeckeElement.unit(f3),\n"
+            "             lambda: SymLaurent.one(2) + 1):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except (TypeError, ValueError) as e:\n"
+            "        print(type(e).__name__, e)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "TypeError cocharacter pair (1.0, 0) is not a pair of integers",
+            "TypeError coefficient 0.5 at (1, 0) is not an int, Fraction or LaurentQ",
+            "TypeError cannot add int to a HeckeElement",
+            "ValueError mismatched base fields LocalField(q=2) and LocalField(q=3)",
+            "TypeError cannot add int to a SymLaurent"], flags

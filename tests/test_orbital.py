@@ -1,5 +1,6 @@
 """Orbital integrals against the tree oracle; Phi relation; zeta fits."""
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,56 @@ from gl2trace.orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
                               phi_transform, rational_reconstruct,
                               split_orbital, tree_orbital_oracle)
 from gl2trace.rings import LaurentQ
+
+INF = 10 ** 9
+
+
+def valp(x, p):
+    x = Fraction(x)
+    if x == 0:
+        return INF
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def matrix_cosets(gamma, depth):
+    """The double coset (v(det) - d1, d1) of each explicit representative
+    [[t1, (t1 - t2) j/q^depth], [0, t2]], j < q^depth, with d1 the least
+    valuation of its Fraction entries."""
+    q = gamma.field.q
+    t1, t2 = gamma.t1, gamma.t2
+    denom = Fraction(q) ** depth
+    dv = valp(t1 * t2, q)
+    keys = []
+    for j in range(q ** depth):
+        m = ((t1, (t1 - t2) * Fraction(j) / denom), (Fraction(0), t2))
+        d1 = min(valp(m[0][0], q), valp(m[0][1], q), valp(m[1][1], q))
+        keys.append((dv - d1, d1))
+    return keys
+
+
+def matrix_tree_oracle(h, gamma, depth, cosets):
+    """The tree oracle on explicit matrices: one LaurentQ sum per
+    representative over matrix_cosets(gamma, depth), and the same
+    stabilization warning."""
+    total = LaurentQ(0, 0, h.field.q)
+    for key in cosets:
+        c = h.coeffs.get(key)
+        if c is not None:
+            total = total + c
+    if h.coeffs:
+        minb = min(b for (_, b) in h.coeffs)
+        deep = min(gamma.m1, gamma.m2, gamma.d - depth - 1)
+        if any((gamma.m1 + gamma.m2 - e, e) in h.coeffs
+               for e in range(minb, min(deep, min(gamma.m1, gamma.m2)) + 1)):
+            warnings.warn("tree truncation at depth %d has not stabilized" % depth)
+    return gamma.disc_half() * total
 
 
 def test_split_class_from_rationals():
@@ -107,6 +158,58 @@ def test_oracle_equivalence(q, hi):
             warnings.simplefilter("error")
             got = tree_orbital_oracle(h, g, depth)
         assert got == split_orbital(h, g), (g, h)
+
+
+# (m1, m2, d) as orbital --gamma m1,m2 [--d d] takes them
+GAMMA_DATA = [(1, 0, None), (2, 0, None), (2, 1, None), (1, -1, None),
+              (0, 1, None), (0, 0, 1), (0, 0, 2), (1, 1, 2), (1, 1, 3),
+              (-1, 0, None), (0, 0, None), (1, 1, None)]
+
+
+def oracle_classes(field):
+    """every class above, with d given and with d defaulted, once each:
+    a defaulted d builds the same class as the d it defaults to"""
+    seen = {}
+    for m1, m2, d in GAMMA_DATA:
+        for d_arg in (d, min(m1, m2) if m1 != m2 else d):
+            try:
+                g = SplitClass.from_data(field, m1, m2, d_arg)
+            except ValueError:   # q = 2 realizes no d = m1 when m1 = m2
+                assert field.q == 2 and d_arg == m1 == m2
+                continue
+            data = (g.m1, g.m2, g.d)
+            assert seen.setdefault(data, (g.t1, g.t2)) == (g.t1, g.t2)
+    return [SplitClass.from_data(field, *data) for data in seen]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_tree_oracle_matches_matrix_oracle(q):
+    """Integer valuations against explicit matrices at every depth with
+    q^depth <= 3000, on a dense element with v-parts and negative keys,
+    on the unit and on the empty element; equal values and warnings"""
+    rng = random.Random(1700 + q)
+    field = LocalField(q)
+    dense = HeckeElement(field, {
+        (a, b): LaurentQ(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 4)), q)
+        for b in range(-3, 4) for a in range(b, 4)})
+    hs = [dense, HeckeElement.unit(field), HeckeElement(field)]
+    depth_top = 0
+    while q ** (depth_top + 1) <= 3000:
+        depth_top += 1
+    for g in oracle_classes(field):
+        for depth in range(depth_top + 1):
+            cosets = matrix_cosets(g, depth)
+            for h in hs:
+                with warnings.catch_warnings(record=True) as got_w:
+                    warnings.simplefilter("always")
+                    got = tree_orbital_oracle(h, g, depth)
+                with warnings.catch_warnings(record=True) as want_w:
+                    warnings.simplefilter("always")
+                    want = matrix_tree_oracle(h, g, depth, cosets)
+                assert got == want and str(got) == str(want), (g, depth, h)
+                assert ([str(w.message) for w in got_w]
+                        == [str(w.message) for w in want_w]), (g, depth, h)
 
 
 def test_oracle_warns_when_shallow():

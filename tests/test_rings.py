@@ -41,6 +41,14 @@ def model_add(d1, d2):
     return out
 
 
+def fold_from_powers(d, q):
+    " the LaurentQ fold: one v^k * c product and one sum per term "
+    out = LaurentQ(0, 0, q)
+    for k, c in d.items():
+        out = out + LaurentQ.v_power(k, q) * c
+    return out
+
+
 small_fraction = st.fractions(min_value=-40, max_value=40, max_denominator=9)
 laurent_dict = st.dictionaries(st.integers(-4, 4), small_fraction, max_size=4)
 
@@ -54,6 +62,24 @@ def test_laurent_matches_model(d1, d2, q):
     p = x * y
     assert (s.a, s.b) == model_reduce(model_add(d1, d2), q)
     assert (p.a, p.b) == model_reduce(model_mul(d1, d2), q)
+
+
+@given(st.dictionaries(st.integers(-9, 9), small_fraction, max_size=6),
+       st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=100)
+def test_from_powers_matches_fold(d, q):
+    " negative exponents, terms that cancel, and the empty expansion "
+    x = LaurentQ.from_powers(d, q)
+    y = fold_from_powers(d, q)
+    assert (x.a, x.b, x.q) == (y.a, y.b, y.q) == model_reduce(d, q) + (q,)
+    assert type(x.a) is type(x.b) is Fraction and str(x) == str(y)
+
+
+def test_from_powers_cancels_and_empty():
+    # 2*v^-2 - 1 + 3*v^-1 - (3/2)*v at q = 2: both parts cancel
+    x = LaurentQ.from_powers({-2: 2, 0: -1, -1: 3, 1: Fraction(-3, 2)}, 2)
+    assert (x.a, x.b) == (0, 0) and not x
+    assert LaurentQ.from_powers({}, 7) == fold_from_powers({}, 7) == LaurentQ(0, 0, 7)
 
 
 @given(laurent_dict, st.sampled_from([2, 3, 5, 7]))
