@@ -12,6 +12,7 @@ and they are tabulated by exact Hilbert symbols place by place.
 import itertools
 import math
 from fractions import Fraction
+from operator import contains
 
 INF_PLACE = "inf"
 
@@ -59,7 +60,9 @@ class CycloNumber:
         " coeffs: iterable over the power basis 1..zeta^(phi(L)-1), already reduced "
         deg = len(cyclotomic_poly(L)) - 1
         coeffs = tuple(Fraction(c) for c in coeffs)
-        assert len(coeffs) == deg
+        if len(coeffs) != deg:
+            raise ValueError("an element of Q(zeta_%d) takes %d coefficients, got %d"
+                             % (L, deg, len(coeffs)))
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -85,7 +88,8 @@ class CycloNumber:
 
     def _coerce(self, other):
         if isinstance(other, CycloNumber):
-            assert other.L == self.L, "mixed cyclotomic levels"
+            if other.L != self.L:
+                raise ValueError("mixed cyclotomic levels %d and %d" % (self.L, other.L))
             return other
         if isinstance(other, (int, Fraction)):
             return CycloNumber.rational(self.L, other)
@@ -139,7 +143,8 @@ class CycloNumber:
         return all(c == 0 for c in self.coeffs[1:])
 
     def as_fraction(self):
-        assert self.is_rational, "value is irrational"
+        if not self.is_rational:
+            raise ValueError("value %r is irrational" % (self,))
         return self.coeffs[0]
 
     def __bool__(self):
@@ -195,7 +200,9 @@ class FiniteAbelianGroup:
                 raise ValueError("cyclic order %d is not >= 1" % n)
         if labels is not None:
             labels = tuple(labels)
-            assert len(labels) == len(orders)
+            if len(labels) != len(orders):
+                raise ValueError("%d labels for %d cyclic orders"
+                                 % (len(labels), len(orders)))
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_exponent", math.lcm(*orders))
@@ -248,7 +255,9 @@ class GroupCharacter:
 
     def __init__(self, group, exps):
         exps = tuple(exps)
-        assert group.contains(exps)
+        if not group.contains(exps):
+            raise ValueError("character exponents %s are not an element of the group %s"
+                             % (exps, group.orders))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "exps", exps)
 
@@ -287,11 +296,13 @@ class GroupFunction:
     def __init__(self, group, values):
         if callable(values):
             values = {g: values(g) for g in group.elements()}
-        vals = {}
-        for g in group.elements():
-            if g not in values:
-                raise ValueError("function not total: missing %s" % (g,))
-            vals[g] = values[g]
+        try:
+            if len(values) < group.order:  # some element is missing
+                raise KeyError
+            vals = {g: values[g] for g in group.elements()}
+        except KeyError:
+            raise ValueError("function not total: missing %s"
+                             % (_first_missing(group.orders, values),)) from None
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "values", vals)
 
@@ -302,17 +313,35 @@ class GroupFunction:
         return self.values[g]
 
 
+def _first_missing(orders, values):
+    """the first element, in elements() order, that values lacks: an
+    odometer walk that builds no axis, so it stops after at most
+    len(values) + 1 steps however large the group"""
+    g = [0] * len(orders)
+    while tuple(g) in values:
+        i = len(g) - 1
+        while i >= 0 and g[i] == orders[i] - 1:
+            g[i] = 0
+            i -= 1
+        if i < 0:
+            return None
+        g[i] += 1
+    return tuple(g)
+
+
 def _integer_values(f):
     """(D, values times D as ints, in element order), D the least common
-    denominator of the values"""
-    vals = [_to_fraction(v) for v in f.values.values()]
-    den = math.lcm(*(v.denominator for v in vals))
-    return den, [v.numerator * (den // v.denominator) for v in vals]
+    denominator of the values: one division per distinct denominator"""
+    vals = [_rational(v) for v in f.values.values()]
+    dens = {v.denominator for v in vals}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return den, [v.numerator * scale[v.denominator] for v in vals]
 
 
-def _to_fraction(v):
+def _rational(v):
     if isinstance(v, (int, Fraction)):
-        return Fraction(v)
+        return v
     raise TypeError("fourier needs rational function values, got %r" % (v,))
 
 
@@ -369,13 +398,17 @@ def _as_subgroup(group, spec):
             raise ValueError("element %s outside the group" % (e,))
     if group.identity() not in elems:
         raise ValueError("subgroup must contain the identity")
-    # greedy generating set keeps the closure check near-linear
+    # greedy generating set; each new generator g joins the span S as the
+    # cosets S + k*g, k below the order of g modulo S
     gens = []
     span = {group.identity()}
     for e in sorted(elems):
         if e not in span:
             gens.append(e)
-            span = set(subgroup_generated(group, gens))
+            old, shift = set(span), e
+            while shift not in old:
+                span.update(group.add(x, shift) for x in old)
+                shift = group.add(shift, e)
     if span != elems:
         raise ValueError("subgroup spec is not closed")
     return tuple(sorted(elems)), gens
@@ -395,43 +428,24 @@ def annihilator(group, gens):
 def poisson_check(group, subgroup_spec, f):
     """Finite Poisson summation: returns the two sides
     (sum of f over H, |H|/|G| times the sum of fourier(f) over the
-    annihilator of H); they agree as exact cyclotomic numbers.  Fourier
-    is linear, so the buckets of every annihilator character go into one
-    integer list, reduced and rescaled once."""
+    annihilator of H); they agree as exact cyclotomic numbers.  Both
+    sides work on the values scaled to integers over one common
+    denominator D.  The sum over H adds the integer numerators of the
+    values on H and divides by D once.  Fourier is linear, so the
+    buckets of every annihilator character go into one integer list,
+    reduced and rescaled once."""
     if not isinstance(f, GroupFunction):
         f = GroupFunction(group, f)
     H, gens = _as_subgroup(group, subgroup_spec)
     L = group.exponent
-    lhs = Fraction(0)
-    for h in H:
-        lhs += _to_fraction(f(h))
+    on_h = [_rational(f(h)) for h in H]   # a bad value on H is named first
     den, ints = _integer_values(f)
+    lhs = Fraction(sum(v.numerator * (den // v.denominator) for v in on_h), den)
     buckets = [0] * L
     for psi in annihilator(group, gens):
         _add_character(buckets, ints, group, psi.exps)
     rhs = CycloNumber.from_buckets(L, buckets, Fraction(len(H), den * group.order))
     return CycloNumber.rational(L, lhs), rhs
-
-
-def sample_poisson_triple(rng, max_order=1024, max_work=1 << 16):
-    """Random (group, subgroup generators, rational function) with
-    |G| <= max_order and the Fourier workload |G|^2/|H| capped; biased
-    toward small cyclic orders so exponents stay tame."""
-    while True:
-        k = rng.randint(1, 4)
-        orders = []
-        for _ in range(k):
-            orders.append(rng.choice([2, 2, 2, 3, 3, 4, 4, 5, 6, 8, 9, 12, 16]))
-        g = FiniteAbelianGroup(orders)
-        if g.order > max_order:
-            continue
-        ngen = rng.randint(0, 2)
-        gens = [tuple(rng.randrange(n) for n in g.orders) for _ in range(ngen)]
-        h = subgroup_generated(g, gens)
-        if g.order * g.order // len(h) > max_work:
-            continue
-        f = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for e in g.elements()}
-        return g, h, f
 
 
 # -- arithmetic symbols -------------------------------------------------
@@ -679,10 +693,6 @@ class SClassGroup:
         assert all(v[c] == 0 for c in self.pivot_cols)
         return tuple(v[i] for i in self.free_idx)
 
-    def project(self, t):
-        " class of the section of an S-unit t in D_S "
-        return self.reduce_vector(self.section_vector(t))
-
     # dual --------------------------------------------------------------
 
     def _build_dual(self):
@@ -710,45 +720,23 @@ class SClassGroup:
 
 class QuadChar:
     """Quadratic character of fundamental discriminant d, living on the
-    S-class group; evaluation on rationals by Kronecker symbol, on group
-    elements by Hilbert pairing against the free-coordinate basis."""
+    S-class group; evaluation on rationals by Kronecker symbol.  A
+    character of sgroup.quad_chars also keeps its table: the F2 exponent
+    of its Hilbert pairing with each ambient bit."""
 
-    __slots__ = ("d", "c", "sgroup", "_table")
+    __slots__ = ("d", "c", "sgroup", "table")
 
     def __init__(self, d, c=None, sgroup=None, table=None):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "c", c if c is not None else d)
         object.__setattr__(self, "sgroup", sgroup)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "table", table)
 
     def __setattr__(self, *_):
         raise AttributeError("QuadChar is immutable")
 
     def __call__(self, t):
         return quad_char_eval(self, t)
-
-    def _group(self):
-        if self.sgroup is None:
-            raise ValueError("%r has no S-class group; take it from "
-                             "class_group_mod_squares(S).quad_chars" % (self,))
-        return self.sgroup
-
-    def on_element(self, g):
-        " value on an abstract D_S element (exponent tuple), +1 or -1 "
-        e = 0
-        for x, i in zip(g, self._group().free_idx):
-            if x:
-                e ^= self._table[i]
-        return -1 if e else 1
-
-    def on_vector(self, vec):
-        " value on an ambient bit vector "
-        self._group()
-        e = 0
-        for x, t in zip(vec, self._table):
-            if x:
-                e ^= t
-        return -1 if e else 1
 
     def sign_value(self):
         " value on the archimedean sign class (-1 at infinity) "
@@ -788,43 +776,43 @@ def class_group_mod_squares(S):
 
 def parse_group_function(text):
     """'group n1 n2 ...' header plus 'f e1,e2,... value' lines; a bad line
-    raises ValueError naming its line number"""
+    raises ValueError naming its line number.  One pass: each line is
+    split once, an element's coordinates are checked against the cyclic
+    orders (no element set is built), and each distinct value token is
+    read by Fraction(str) once per call."""
     group = None
     values = {}
+    read = {}   # value token -> its Fraction, for this call only
     for num, ln in enumerate(text.splitlines(), 1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
         toks = ln.split()
+        if not toks or toks[0][0] == "#":
+            continue
         try:
-            if toks[0] == "group":
-                if group is not None:
-                    raise ValueError("a second group line")
-                group = FiniteAbelianGroup(int(x) for x in toks[1:])
-            elif toks[0] == "f" and len(toks) == 3:
+            if toks[0] == "f" and len(toks) == 3:
                 if group is None:
                     raise ValueError("the group line must come first")
-                elem = tuple(int(x) for x in toks[1].split(","))
-                if not group.contains(elem):
+                elem = tuple(map(int, toks[1].split(",")))
+                if len(elem) != len(axes) or not all(map(contains, axes, elem)):
                     raise ValueError("element %s is not in the group %s"
                                      % (toks[1], group.orders))
                 if elem in values:
                     raise ValueError("duplicate element %s" % toks[1])
-                values[elem] = Fraction(toks[2])
+                v = read.get(toks[2])
+                if v is None:
+                    v = read[toks[2]] = Fraction(toks[2])
+                values[elem] = v
+            elif toks[0] == "group":
+                if group is not None:
+                    raise ValueError("a second group line")
+                group = FiniteAbelianGroup(int(x) for x in toks[1:])
+                axes = [range(n) for n in group.orders]
             else:
                 raise ValueError("want 'group n1 n2 ...' or 'f e1,e2,... value'")
         except ZeroDivisionError:
             raise ValueError("line %d %r: value %s has denominator 0"
-                             % (num, ln, toks[2])) from None
+                             % (num, ln.strip(), toks[2])) from None
         except ValueError as e:
-            raise ValueError("line %d %r: %s" % (num, ln, e)) from None
+            raise ValueError("line %d %r: %s" % (num, ln.strip(), e)) from None
     if group is None:
         raise ValueError("missing group line")
     return group, GroupFunction(group, values)
-
-
-def format_group_function(f):
-    lines = ["group " + " ".join(str(n) for n in f.group.orders)]
-    for g in f.group.elements():
-        lines.append("f %s %s" % (",".join(str(x) for x in g), f(g)))
-    return "\n".join(lines) + "\n"

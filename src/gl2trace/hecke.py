@@ -131,7 +131,7 @@ class HeckeElement:
             if c.q is not None and c.q != field.q:
                 raise ValueError("coefficient q mismatch")
             if c:
-                clean[key] = LaurentQ(c.a, c.b, field.q)
+                clean[key] = c if c.q is not None else LaurentQ(c.a, c.b, field.q)
         self.coeffs = clean
 
     @classmethod

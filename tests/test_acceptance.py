@@ -14,7 +14,7 @@ from gl2trace.assembly import (ArchProfile, GlobalTestFunction,
                                cartan_discrepancy, numeric_verify,
                                residual_geometric, residual_spectral)
 from gl2trace.basicfn import RepSpec, truncated_basic_identity
-from gl2trace.chargroup import poisson_check, sample_poisson_triple
+from gl2trace.chargroup import poisson_check
 from gl2trace.hecke import (HeckeElement, LocalField, SatakeParameter,
                             convolve, inverse_satake, satake_transform)
 from gl2trace.orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
@@ -22,6 +22,8 @@ from gl2trace.orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
                               split_orbital, tree_orbital_oracle)
 from gl2trace.rings import LaurentQ
 from gl2trace.spectral import AdjointProxy, delta_qexpansion, mr_estimator
+
+from _oracles import sample_poisson_triple
 
 INF = "inf"
 

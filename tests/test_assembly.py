@@ -24,6 +24,8 @@ from gl2trace.chargroup import (GroupFunction, class_group_mod_squares,
 from gl2trace.hecke import HeckeElement, LocalField
 from gl2trace.rings import LaurentQ
 
+from _oracles import project
+
 INF = "inf"
 
 
@@ -578,7 +580,7 @@ def test_torus_level_poisson():
     sg = class_group_mod_squares(f.places)
     values = {e: Fraction(0) for e in sg.group.elements()}
     for t, fv, _ in torus_support(f):
-        values[sg.project(Fraction(t))] += fv
+        values[project(sg, Fraction(t))] += fv
     F = GroupFunction(sg.group, values)
     lhs, rhs = poisson_check(sg.group, [sg.group.identity()], F)
     assert lhs == rhs

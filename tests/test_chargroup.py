@@ -10,6 +10,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gl2trace
 from gl2trace import chargroup
@@ -17,12 +19,17 @@ from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,
                                 GroupCharacter, GroupFunction, QuadChar,
                                 annihilator, characters,
                                 class_group_mod_squares, cyclotomic_poly,
-                                format_group_function, fourier, hilbert_symbol,
-                                kronecker, legendre, parse_group_function,
-                                poisson_check, quad_char_eval,
-                                sample_poisson_triple, subgroup_generated)
+                                fourier, hilbert_symbol, kronecker, legendre,
+                                parse_group_function, poisson_check,
+                                quad_char_eval, subgroup_generated)
+
+from _oracles import (closure_subgroup, format_group_function,
+                      fraction_poisson_check, on_element, on_vector,
+                      parse_group_function_oracle, project,
+                      sample_poisson_triple)
 
 INF = "inf"
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def fourier_cyclo(f, psi):
@@ -260,6 +267,18 @@ def test_group_function_total():
     g = FiniteAbelianGroup((2, 2))
     with pytest.raises(ValueError):
         GroupFunction(g, {(0, 0): 1})
+    # the first missing element in element order is named, and keys
+    # outside the group are ignored
+    g = FiniteAbelianGroup((2, 3))
+    full = {e: 1 for e in g.elements()}
+    for drop in [(0, 0), (0, 2), (1, 0), (1, 2)]:
+        vals = {e: v for e, v in full.items() if e != drop}
+        vals[(5, 5)] = 0
+        with pytest.raises(ValueError) as err:
+            GroupFunction(g, vals)
+        assert str(err.value) == "function not total: missing %s" % (drop,)
+    assert list(GroupFunction(g, dict(reversed(full.items()))).values) == \
+        list(g.elements())
 
 
 def test_group_text_roundtrip():
@@ -294,6 +313,201 @@ def test_subgroup_generator_outside_group():
     g = FiniteAbelianGroup((2,))
     with pytest.raises(ValueError, match="generator 7 is not an element"):
         subgroup_generated(g, [(7,)])
+
+
+# -- the one-pass reader, the incremental span and the integer H-sum ------
+# against the code they replaced (tests/_oracles.py)
+
+# every kind of value token: integers, signs, decimals, exponents, a zero
+# denominator, a sign in the denominator, garbage and a non-ASCII digit
+VALUE_TOKENS = ["3", "-3/7", "+2", "1.5", "1e2", "1/0", "3/-4", "x", "\u0663",
+                "0", "-5/6"]
+GOOD_TOKENS = ["3", "-3/7", "+2", "1.5", "1e2", "\u0663", "0", "-5/6", "7/4"]
+LINE_EDITS = ["none", "value", "drop", "duplicate", "out of range", "arity",
+              "second group", "comment", "blank"]
+
+
+@st.composite
+def small_orders(draw):
+    " 1 to 4 cyclic factors of order 1..16, with |G| <= 64 "
+    orders, size = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, min(16, 64 // size)))
+        orders.append(n)
+        size *= n
+    return tuple(orders)
+
+
+def _elem_token(e):
+    return ",".join(map(str, e))
+
+
+@st.composite
+def group_file(draw):
+    """text of a group-function file, possibly out of element order and
+    padded with whitespace, after at most one single-line edit"""
+    orders = draw(small_orders())
+    g = FiniteAbelianGroup(orders)
+    lines = ["group " + " ".join(map(str, orders))]
+    body = ["f %s %s" % (_elem_token(e), draw(st.sampled_from(GOOD_TOKENS)))
+            for e in g.elements()]
+    lines += draw(st.permutations(body))
+    edit = draw(st.sampled_from(LINE_EDITS))
+    i = draw(st.integers(0, len(lines)))
+    at = min(i, len(lines) - 1)
+    if edit == "value" and len(lines) > 1:
+        at = max(at, 1)
+        toks = lines[at].split()
+        lines[at] = " ".join(toks[:2] + [draw(st.sampled_from(VALUE_TOKENS))])
+    elif edit == "drop":
+        del lines[at]
+    elif edit == "duplicate":
+        lines.insert(i, lines[at])
+    elif edit == "out of range" and orders:
+        e = [0] * len(orders)
+        k = draw(st.integers(0, len(orders) - 1))
+        e[k] = draw(st.sampled_from([orders[k], -1, orders[k] + 3]))
+        lines.insert(i, "f %s 1" % _elem_token(e))
+    elif edit == "arity":
+        lines.insert(i, "f %s 1" % _elem_token([0] * (len(orders) + 1)))
+    elif edit == "second group":
+        lines.insert(max(i, 1), lines[0])
+    elif edit == "comment":
+        comment = draw(st.sampled_from(["# f %s 9", "#f %s 9", "#"]))
+        lines.insert(i, comment.replace("%s", _elem_token([0] * len(orders))))
+    elif edit == "blank":
+        lines.insert(i, "")
+    pads = ["", " ", "\t", "  "]
+    lines = [draw(st.sampled_from(pads)) + ln + draw(st.sampled_from(pads))
+             for ln in lines]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _read_outcome(parse, text):
+    try:
+        group, f = parse(text)
+    except ValueError as e:
+        return "ValueError", str(e)
+    values = list(f.values.items())
+    assert all(type(v) is Fraction for _, v in values)
+    return group.orders, values
+
+
+@given(group_file())
+@settings(max_examples=300, deadline=None)
+def test_group_reader_matches_oracle(text):
+    " equal (orders, values in element order), or the same error text "
+    assert _read_outcome(parse_group_function, text) == \
+        _read_outcome(parse_group_function_oracle, text)
+
+
+def test_group_reader_value_tokens():
+    " each token kind once, as Fraction(str) reads it, through both readers "
+    for tok in VALUE_TOKENS:
+        text = "group 2\nf 0 %s\nf 1 %s\n" % (tok, tok)
+        got = _read_outcome(parse_group_function, text)
+        assert got == _read_outcome(parse_group_function_oracle, text), tok
+        try:
+            want = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            assert got[0] == "ValueError" and got[1].startswith("line 2 "), (tok, got)
+        else:
+            assert got == ((2,), [((0,), want), ((1,), want)]), tok
+
+
+@st.composite
+def subgroup_case(draw):
+    """(group, spec): closed subgroups, and sets that are not; the group
+    and generators come from a seeded rng, so that few groups are trivial"""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    orders, size = [], 1
+    for _ in range(rng.randint(1, 4)):
+        orders.append(rng.randint(1, min(16, 96 // size)))
+        size *= orders[-1]
+    g = FiniteAbelianGroup(orders)
+    elems = list(g.elements())
+    gens = rng.sample(elems, min(len(elems), rng.randint(1, 3)))
+    spec = list(subgroup_generated(g, gens))
+    how = draw(st.sampled_from(["closed", "drop", "add", "no identity",
+                                "random", "outside", "empty"]))
+    if how == "drop" and len(spec) > 1:
+        spec.remove(draw(st.sampled_from(spec[1:])))
+    elif how == "add":
+        spec.append(draw(st.sampled_from(elems)))
+    elif how == "no identity":
+        spec = [e for e in spec if e != g.identity()]
+    elif how == "random":
+        spec = draw(st.lists(st.sampled_from(elems), max_size=8))
+    elif how == "outside":
+        spec.append(g.orders)
+    elif how == "empty":
+        spec = []
+    return g, draw(st.permutations(spec))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+@given(subgroup_case())
+@settings(max_examples=300, deadline=None)
+def test_subgroup_reader_matches_oracle(case):
+    " the incremental span gives the same (elements, gens) or error "
+    g, spec = case
+    assert _outcome(chargroup._as_subgroup, g, spec) == \
+        _outcome(closure_subgroup, g, spec)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(["H", "gens", "empty", "G"]))
+@settings(max_examples=60, deadline=None)
+def test_poisson_check_matches_oracle(seed, which):
+    " both sides equal, and print equal, to the Fraction-by-Fraction code "
+    rng = random.Random(seed)
+    g, h, f = sample_poisson_triple(rng, max_order=128, max_work=1 << 11)
+    spec = {"H": list(h), "empty": [], "G": list(g.elements()),
+            "gens": [g.identity()] + list(h[1:2])}[which]
+    got = _outcome(poisson_check, g, spec, f)
+    want = _outcome(fraction_poisson_check, g, spec, f)
+    assert got == want and str(got) == str(want)
+
+
+def test_poisson_check_names_the_same_bad_value():
+    " a non-rational value on H is named before one elsewhere, as before "
+    g = FiniteAbelianGroup((4,))
+    z = CycloNumber.zeta(4)
+    f = GroupFunction(g, {(0,): 1, (1,): z, (2,): 2 * z, (3,): 3})
+    for spec in ([(0,), (2,)], [(0,)]):
+        with pytest.raises(TypeError) as got:
+            poisson_check(g, spec, f)
+        with pytest.raises(TypeError) as want:
+            fraction_poisson_check(g, spec, f)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == ("fourier needs rational function values, got %r"
+                                  % ((2 * z) if spec[1:] else z,))
+
+
+def test_huge_group_file_exits_2(tmp_path):
+    """a missing element of a group of order 10^9 or 10^12 is named at
+    once, with no walk over the group; under RLIMIT_AS a regression that
+    builds an axis fails with a MemoryError instead of taking the runner"""
+    files = {"cyclic.fn": "group 1000000000\nf 0 1\nf 1 2\n",
+             "product.fn": "group 1000000 1000000\nf 0,0 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from gl2trace.cli import run\n"
+            "sys.exit(run(['poisson', '--f', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    for name, missing in (("cyclic.fn", "(2,)"), ("product.fn", "(0, 1)")):
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / name)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: function not total: missing %s\n" % missing), name
 
 
 # -- arithmetic symbols -------------------------------------------------
@@ -428,22 +642,32 @@ def test_symbol_input_checks_survive_optimize():
     code = ("from gl2trace.assembly import ArchProfile\n"
             "from gl2trace.chargroup import (QuadChar, class_group_mod_squares,\n"
             "    hilbert_symbol, local_square_class, quad_char_eval)\n"
+            "from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,\n"
+            "    GroupCharacter)\n"
+            "from _oracles import on_element, on_vector\n"
             "g = class_group_mod_squares(['inf', 2, 3])\n"
+            "z4, z8 = CycloNumber.zeta(4), CycloNumber.zeta(8)\n"
             "for call in (lambda: hilbert_symbol(0, 3, 2),\n"
             "             lambda: hilbert_symbol(3, '0/5', 'inf'),\n"
             "             lambda: local_square_class(0, 3),\n"
             "             lambda: g.diagonal_vector(0),\n"
             "             lambda: g.section_vector(0),\n"
             "             lambda: quad_char_eval(QuadChar(5), 0),\n"
-            "             lambda: QuadChar(5).on_element((1,)),\n"
-            "             lambda: QuadChar(-4).on_vector((1, 0)),\n"
-            "             lambda: ArchProfile(pos=((-1, 1, [1]),)).value_at(0)):\n"
+            "             lambda: on_element(QuadChar(5), (1,)),\n"
+            "             lambda: on_vector(QuadChar(-4), (1, 0)),\n"
+            "             lambda: ArchProfile(pos=((-1, 1, [1]),)).value_at(0),\n"
+            "             lambda: CycloNumber(4, [1]),\n"
+            "             lambda: z4 + z8,\n"
+            "             lambda: z4.as_fraction(),\n"
+            "             lambda: FiniteAbelianGroup((2, 3), ['a']),\n"
+            "             lambda: GroupCharacter(FiniteAbelianGroup((2, 3)), (1, 3)),\n"
+            "             lambda: GroupCharacter(FiniteAbelianGroup((2,)), (0, 0))):\n"
             "    try:\n"
             "        call()\n"
             "    except ValueError as e:\n"
             "        print(e)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(gl2trace.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([
+        os.path.dirname(os.path.dirname(gl2trace.__file__)), TESTS_DIR]))
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable] + flags + ["-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
@@ -459,7 +683,13 @@ def test_symbol_input_checks_survive_optimize():
             "class_group_mod_squares(S).quad_chars",
             "QuadChar(d=-4) has no S-class group; take it from "
             "class_group_mod_squares(S).quad_chars",
-            "profile value at t = 0: the profiles live on R^x"], flags
+            "profile value at t = 0: the profiles live on R^x",
+            "an element of Q(zeta_4) takes 2 coefficients, got 1",
+            "mixed cyclotomic levels 4 and 8",
+            "value 1*z4^1 is irrational",
+            "1 labels for 2 cyclic orders",
+            "character exponents (1, 3) are not an element of the group (2, 3)",
+            "character exponents (0, 0) are not an element of the group (2,)"], flags
 
 
 # -- the S-class group --------------------------------------------------
@@ -504,7 +734,7 @@ def test_place_normalization():
 
 def project_to_D(t, sgroup):
     " class of the S-unit t in the quotient group "
-    return sgroup.project(Fraction(t))
+    return project(sgroup, Fraction(t))
 
 
 def diagonal_class(sgroup, t):
@@ -590,7 +820,7 @@ def test_compatibility_section_vs_kronecker():
                 from math import gcd
                 if gcd(n, abs(ch.d)) != 1:
                     continue
-                got = ch.on_element(g.project(t))
+                got = on_element(ch, project(g, t))
                 want = quad_char_eval(ch, t)
                 assert got == want, (S, ch.d, t)
 
@@ -632,7 +862,7 @@ def test_quad_char_on_vector_respects_hilbert():
         for ch in g.quad_chars:
             for t in points:
                 prod = hilbert_product(ch.c, t, g.places)
-                assert ch.on_vector(g.diagonal_vector(t)) == prod == 1, (S, ch, t)
+                assert on_vector(ch, g.diagonal_vector(t)) == prod == 1, (S, ch, t)
 
 
 def test_dual_takes_one_symbol_per_candidate_and_bit(monkeypatch):
@@ -677,7 +907,7 @@ def test_section_vector_matches_hand_valuations():
             for p in g.places[1:]:
                 t *= Fraction(p) ** rng.randint(-3, 3)
             assert g.section_vector(t) == hand_section_vector(g, t), (S, t)
-            assert g.project(t) == g.reduce_vector(hand_section_vector(g, t))
+            assert project(g, t) == g.reduce_vector(hand_section_vector(g, t))
 
 
 def test_unramified_flags():

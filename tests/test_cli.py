@@ -13,10 +13,11 @@ import pytest
 
 import gl2trace
 from gl2trace import cli
-from gl2trace.chargroup import (FiniteAbelianGroup, GroupFunction,
-                                format_group_function)
+from gl2trace.chargroup import FiniteAbelianGroup, GroupFunction
 from gl2trace.cli import run
 from gl2trace.hecke import HeckeElement, LocalField
+
+from _oracles import format_group_function
 
 
 @pytest.fixture

@@ -638,3 +638,21 @@ def test_hecke_checks_survive_optimize():
             "TypeError cannot add int to a HeckeElement",
             "ValueError mismatched base fields LocalField(q=2) and LocalField(q=3)",
             "TypeError cannot add int to a SymLaurent"], flags
+
+
+def test_hecke_element_keeps_coefficients_with_its_q():
+    """a coefficient whose q is the field's is kept as it is; one with no
+    q is rebuilt over the field, and a zero one is dropped"""
+    f3 = LocalField(3)
+    c = LaurentQ(Fraction(1, 2), 3, 3)
+    h = HeckeElement(f3, {(1, 0): c, (2, 0): LaurentQ(5), (3, 0): LaurentQ(0, 0, 3)})
+    assert h.coeffs[(1, 0)] is c
+    assert h.coeffs[(2, 0)] == LaurentQ(5, 0, 3) and h.coeffs[(2, 0)].q == 3
+    assert h.support() == [(1, 0), (2, 0)]
+    assert HeckeElement(f3, {(0, 0): 7}).coeffs[(0, 0)].q == 3
+    with pytest.raises(ValueError, match="coefficient q mismatch"):
+        HeckeElement(f3, {(1, 0): LaurentQ(1, 1, 5)})
+    with pytest.raises(ValueError, match="coefficient q mismatch"):
+        HeckeElement(f3, {(1, 0): LaurentQ(0, 0, 5)})
+    with pytest.raises(TypeError, match="is not an int, Fraction or LaurentQ"):
+        HeckeElement(f3, {(1, 0): 0.5})

@@ -1,0 +1,80 @@
+"""Replay one whole benchmark pool in one interpreter and print a digest.
+
+Run from the root of a checkout:
+
+    python3 tools/replay_pool.py --workload global --seed 7
+
+The pool is the one perfbench/run.py prepares for a run of --seconds
+(25 by default): the same workload, seed and job count.  Its inputs are
+written to a temporary directory.  Every job runs once, in order, through
+gl2trace.cli.run.  The digest is a sha256 over each job's exit code,
+stdout, stderr and --out files, with the temporary directory's path
+replaced by a fixed placeholder, so two checkouts that print the same
+bytes give the same digest.  The last line is
+
+    jobs N nonzero K sha256 HEX
+
+where K counts the jobs whose exit code is not 0.  Nothing under
+perfbench/ is edited.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from gl2trace import cli  # noqa: E402
+from perfbench import run, workloads  # noqa: E402
+
+MASK = "<pool>"
+
+
+def replay(workload, seed, seconds):
+    " (job count, nonzero exit count, sha256 hex) "
+    count = max(200, int((run.WARMUP_S + seconds) * run.MAX_RATE[workload]))
+    h = hashlib.sha256()
+    nonzero = 0
+    with tempfile.TemporaryDirectory(prefix="replay-") as root:
+        jobs = workloads.build(workload, seed, root, count)[0]
+        for job in jobs:
+            for path in job.outs:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.run(job.argv)
+            nonzero += rc != 0
+            parts = [str(rc), out.getvalue(), err.getvalue()]
+            for path in job.outs:
+                try:
+                    with open(path) as fh:
+                        parts.append(fh.read())
+                except FileNotFoundError:
+                    parts.append("<no file>")
+            for part in parts:
+                text = part.replace(root, MASK)
+                h.update(b"%d:" % len(text))
+                h.update(text.encode())
+    return len(jobs), nonzero, h.hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=25.0,
+                    help="run length whose pool is replayed (default 25)")
+    args = ap.parse_args(argv)
+    n, nonzero, hexdigest = replay(args.workload, args.seed, args.seconds)
+    print("jobs %d nonzero %d sha256 %s" % (n, nonzero, hexdigest))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
