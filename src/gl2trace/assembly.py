@@ -184,11 +184,6 @@ def parse_pieces(text):
     return tuple(out)
 
 
-def format_pieces(pieces):
-    return ";".join("%s:%s:%s" % (lo, hi, ",".join(str(c) for c in coeffs))
-                    for lo, hi, coeffs in pieces)
-
-
 # -- test functions and constants ---------------------------------------
 
 

@@ -131,13 +131,6 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        " conjugation zeta -> zeta^(-1) "
-        poly = [Fraction(0)] * self.L
-        for k, c in enumerate(self.coeffs):
-            poly[(-k) % self.L] += c
-        return CycloNumber(self.L, _cyclo_reduce(self.L, poly))
-
     @property
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
@@ -281,11 +274,6 @@ class GroupCharacter:
 
     def __repr__(self):
         return "GroupCharacter%s" % (self.exps,)
-
-
-def characters(group):
-    " all characters, in deterministic element order "
-    return [GroupCharacter(group, e) for e in group.elements()]
 
 
 class GroupFunction:
@@ -623,10 +611,12 @@ class SClassGroup:
     Ambient space: the F2 vector space G_S = prod over v in S of
     Q_v^x/(Q_v^x)^2, with labeled coordinates.  H_S is the span of the
     diagonal images of -1 and the finite primes of S; the quotient D_S
-    is presented on the free coordinates left by eliminating H_S.  Its
-    dual, quad_chars, is the annihilator of H_S under the Hilbert
-    pairing: the functionals x -> prod over v of (c, x_v)_v, for c in
-    <-1, p in S>, that vanish on H_S.  The group itself is self.group."""
+    is presented on the free coordinates left by eliminating H_S (the
+    echelon_rows, one per pivot column, reduce an ambient vector to its
+    class).  Its dual, quad_chars, is the annihilator of H_S under the
+    Hilbert pairing: the functionals x -> prod over v of (c, x_v)_v, for
+    c in <-1, p in S>, that vanish on H_S.  The group itself is
+    self.group."""
 
     def __init__(self, S):
         self.places = normalize_places(S)
@@ -653,14 +643,6 @@ class SClassGroup:
             raise ValueError("%s is not an S-unit for S = %s" % (t, self.places))
         return tuple(b for v in self.places for b in local_square_class(t, v))
 
-    def section_vector(self, t):
-        """Section into the ambient space: the diagonal image with the
-        unit bits cleared, so the sign at the archimedean place and
-        p^(val) at finite places remain."""
-        return tuple(b if kind in ("sign", "val") else 0
-                     for b, (_, kind) in zip(self.diagonal_vector(t),
-                                             self.bit_labels))
-
     # quotient ----------------------------------------------------------
 
     def _echelon(self):
@@ -681,17 +663,8 @@ class SClassGroup:
                     rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[r])]
             pivots[col] = r
             r += 1
-        self._rows = rows[:r]
+        self.echelon_rows = rows[:r]
         self.pivot_cols = pivots
-
-    def reduce_vector(self, vec):
-        " quotient class of an ambient vector, as an exponent tuple "
-        v = list(vec)
-        for col, r in self.pivot_cols.items():
-            if v[col]:
-                v = [(x + y) % 2 for x, y in zip(v, self._rows[r])]
-        assert all(v[c] == 0 for c in self.pivot_cols)
-        return tuple(v[i] for i in self.free_idx)
 
     # dual --------------------------------------------------------------
 

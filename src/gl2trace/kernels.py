@@ -7,37 +7,47 @@ eta^6 comes from a sparse double loop over the Jacobi terms (about 0.8x
 products of small ints); two squarings, each truncated to n = x terms,
 then give eta^12 and eta^24.
 
-A squaring packs the coefficients into Python ints as slots of w bytes:
-slot i holds c_i + 2^(8w-1), which is non-negative, and subtracting the
-packed offsets leaves a = sum c_i B^i with B = 2^(8w).  With
-h = ceil(n/2) the slots split as a = lo + B^h hi, and since 2h >= n,
-
-    a^2 = lo^2 + 2 B^h lo hi + B^(2h) hi^2
-        = lo^2 + 2 B^h (lo hi mod B^(n-h))        (mod B^n),
-
-so the upper half of the square is never formed.  Adding the packed
-offsets back and reading the low n slots gives the coefficients
-d_0 .. d_(n-1) of the truncated square.
+A squaring packs the coefficients into one decimal number as slots of d
+digits: slot i holds c_i + off with off = 5 * 10^(d-1), written top slot
+first as a digit string, and subtracting the packed offsets leaves
+a = sum c_i B^i with B = 10^d.  a^2 is formed by libmpdec's exact
+number-theoretic-transform multiply (the stdlib decimal module), the
+packed offsets are added back, and the low n slots of the result,
+a^2 + offsets mod B^n, are the coefficients d_0 .. d_(n-1) of the
+truncated square plus off.  Decimal digits cost no base conversion in
+either direction: str(v + off) packs a slot and int() of d digits reads
+one back.
 
 Exactness: for k < n, d_k = 2 sum_{i<k/2} c_i c_(k-i) + [k even]
 c_(k/2)^2, so |d_k| <= 2 m S, where m = max |c_i| and S is the sum of
 |c_i| over i <= (n-1)/2.  Before every squaring the slot width is reset
-to the least w with 2 m S < 2^(8w-1) (6 and 11 bytes at x = 10^4).
-The inputs fit too, as |c_i| <= m <= 2 m S (c_0 = 1), and to_bytes
-raises rather than truncate.  So every d_k + 2^(8w-1) lies in [0, B),
-and the low n slots of a^2 + offsets are exactly those values: the
-reduction mod B^n only drops multiples of B^n, whatever the coefficients
-at k >= n are.  The table is exact for every x, with no floats anywhere.
+to the least d with 8 m max(S, 1) < 10^d (14 and 26 digits at x = 10^4).
+Then |d_k| < 10^d / 4 and |c_i| <= m < 10^d / 8, so every d_k + off and
+every c_i + off lies strictly between 10^(d-1) and 10^d: each slot is
+exactly d digits, packed and read back without padding or carries.  The
+low n slots of a^2 + offsets are exactly those values: the reduction
+mod B^n only drops multiples of B^n, whatever the coefficients at
+k >= n are.  The arithmetic runs in one context with the largest
+precision and exponent and with Inexact, Rounded, InvalidOperation and
+Overflow trapped, so any rounding raises instead of returning a wrong
+table.  The table is exact for every x, with no floats anywhere.
 
-Memory: each list is packed _CHUNK coefficients at a time into one
-bytearray, and each coefficient list and big temporary is released
-before the next product is formed.  At x = 10^4 the traced peak is about
-0.7 MB, reached inside the last lo * hi; the returned list is 0.43 MB.
+Memory: each list is packed _CHUNK coefficients at a time and emptied
+as it is packed, and each digit string and big temporary is released
+before the next one is formed.  At x = 10^4 the traced peak is about
+0.90 MB, reached inside the last multiply (its three transform buffers
+take about 0.77 MB); the returned list is 0.43 MB.
 """
+
+import decimal
 
 BACKEND = "kronecker"
 
-_CHUNK = 256        # coefficients per bytes.join while packing
+_CHUNK = 256        # coefficients per str.join while packing
+
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded,
+                                decimal.InvalidOperation, decimal.Overflow])
 
 
 def _eta6(x):
@@ -58,41 +68,42 @@ def _eta6(x):
     return c
 
 
-def _slot_bytes(c):
-    " least w with 2 m S < 2^(8w-1) for the truncated square of c "
+def _slot_digits(c):
+    " least d with 8 m max(S, 1) < 10^d for the truncated square of c "
     m = max(map(abs, c))
     s = sum(map(abs, c[:(len(c) + 1) // 2]))
-    return (2 * m * s).bit_length() // 8 + 1
+    return len(str(8 * m * max(s, 1)))
 
 
-def _offsets(off, w, n):
-    " n slots of w bytes, each holding off "
-    return int.from_bytes(off.to_bytes(w, "little") * n, "little")
+def _offsets(d, n):
+    " n slots of d digits, each holding 5 * 10^(d-1) "
+    return _EXACT.create_decimal(("5" + "0" * (d - 1)) * n)
 
 
 def _square_truncated(c):
     """First n = len(c) coefficients of the square of the series c.
-    Empties c once it is packed, so that the list is gone before the
-    products are formed."""
+    Empties c as it is packed, so that the list is gone before the
+    product is formed."""
     n = len(c)
-    h = (n + 1) // 2
-    w = _slot_bytes(c)
-    off = 1 << (8 * w - 1)
-    buf = bytearray(w * n)
-    for i in range(0, n, _CHUNK):
-        buf[w * i:w * (i + _CHUNK)] = b"".join(
-            [(v + off).to_bytes(w, "little") for v in c[i:i + _CHUNK]])
-    c.clear()
-    lo = int.from_bytes(buf[:w * h], "little") - _offsets(off, w, h)
-    hi = int.from_bytes(buf[w * h:], "little") - _offsets(off, w, n - h)
-    del buf
-    cross = (lo * hi) & ((1 << (8 * w * (n - h))) - 1)      # lo hi mod B^(n-h)
-    sq = lo * lo + (cross << (8 * w * h + 1)) + _offsets(off, w, n)
-    del lo, hi, cross
-    buf = (sq & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
-    del sq
-    return [int.from_bytes(buf[i:i + w], "little") - off
-            for i in range(0, w * n, w)]
+    d = _slot_digits(c)
+    off = 5 * 10 ** (d - 1)
+    parts = []
+    while c:                                    # top slot first
+        parts.append("".join([str(v + off) for v in reversed(c[-_CHUNK:])]))
+        del c[-_CHUNK:]
+    digits = "".join(parts)
+    del parts
+    a = _EXACT.create_decimal(digits)
+    del digits
+    a = _EXACT.subtract(a, _offsets(d, n))
+    a = _EXACT.multiply(a, a)
+    # the offsets are built again: kept alive through the multiply, they
+    # would add 0.1 MB to the peak at x = 10^4
+    a = _EXACT.add(a, _offsets(d, n))
+    a = decimal.Context(prec=d * n).shift(a, 0)     # a^2 + offsets mod B^n
+    digits = str(a)
+    del a
+    return [int(digits[i - d:i]) - off for i in range(d * n, 0, -d)]
 
 
 def tau_table(x):

@@ -1,12 +1,30 @@
 """Code that only tests use: earlier implementations kept as oracles for
-the kernels that replaced them, samplers, and the S-class group
-evaluations that no subcommand calls."""
+the kernels that replaced them, samplers, the character and S-class
+group evaluations that no subcommand calls, and the Eichler-Selberg
+trace formula as a second path to tau."""
 
 import math
 from fractions import Fraction
 
-from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, GroupFunction,
-                                _add_character, annihilator, subgroup_generated)
+from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, GroupCharacter,
+                                GroupFunction, _add_character, _cyclo_reduce,
+                                annihilator, subgroup_generated)
+
+
+# -- characters and cyclotomics ---------------------------------------------
+
+
+def characters(group):
+    " all characters, in deterministic element order "
+    return [GroupCharacter(group, e) for e in group.elements()]
+
+
+def conj(z):
+    " complex conjugation zeta -> zeta^(-1) of a CycloNumber "
+    poly = [Fraction(0)] * z.L
+    for k, c in enumerate(z.coeffs):
+        poly[(-k) % z.L] += c
+    return CycloNumber(z.L, _cyclo_reduce(z.L, poly))
 
 
 # -- group functions and the Poisson check --------------------------------
@@ -136,9 +154,29 @@ def format_group_function(f):
 # -- the S-class group ------------------------------------------------------
 
 
+def section_vector(sgroup, t):
+    """Section into the ambient space: the diagonal image with the unit
+    bits cleared, so the sign at the archimedean place and p^(val) at
+    finite places remain."""
+    return tuple(b if kind in ("sign", "val") else 0
+                 for b, (_, kind) in zip(sgroup.diagonal_vector(t),
+                                         sgroup.bit_labels))
+
+
+def reduce_vector(sgroup, vec):
+    " quotient class of an ambient vector, as an exponent tuple "
+    v = list(vec)
+    for col, r in sgroup.pivot_cols.items():
+        if v[col]:
+            v = [(x + y) % 2 for x, y in zip(v, sgroup.echelon_rows[r])]
+    if any(v[c] for c in sgroup.pivot_cols):
+        raise AssertionError("a pivot bit survived the reduction")
+    return tuple(v[i] for i in sgroup.free_idx)
+
+
 def project(sgroup, t):
     " class of the section of an S-unit t in D_S "
-    return sgroup.reduce_vector(sgroup.section_vector(t))
+    return reduce_vector(sgroup, section_vector(sgroup, t))
 
 
 def _sgroup_of(ch):
@@ -165,3 +203,106 @@ def on_vector(ch, vec):
         if x:
             e ^= t
     return -1 if e else 1
+
+
+# -- assembly ---------------------------------------------------------------
+
+
+def format_pieces(pieces):
+    " the text that assembly.parse_pieces reads back "
+    return ";".join("%s:%s:%s" % (lo, hi, ",".join(str(c) for c in coeffs))
+                    for lo, hi, coeffs in pieces)
+
+
+# -- the tau kernel ---------------------------------------------------------
+
+
+def byte_slot_bytes(c):
+    " least w with 2 m S < 2^(8w-1) for the truncated square of c "
+    m = max(map(abs, c))
+    s = sum(map(abs, c[:(len(c) + 1) // 2]))
+    return (2 * m * s).bit_length() // 8 + 1
+
+
+def _byte_offsets(off, w, n):
+    " n slots of w bytes, each holding off "
+    return int.from_bytes(off.to_bytes(w, "little") * n, "little")
+
+
+def byte_square_truncated(c, chunk=256):
+    """The truncated squaring as it was before decimal slots: slots of w
+    bytes in one Python int, offsets 2^(8w-1), and the low half of the
+    square from lo^2 + 2 B^h (lo hi mod B^(n-h)) with Karatsuba products.
+    Empties c once it is packed."""
+    n = len(c)
+    h = (n + 1) // 2
+    w = byte_slot_bytes(c)
+    off = 1 << (8 * w - 1)
+    buf = bytearray(w * n)
+    for i in range(0, n, chunk):
+        buf[w * i:w * (i + chunk)] = b"".join(
+            [(v + off).to_bytes(w, "little") for v in c[i:i + chunk]])
+    c.clear()
+    lo = int.from_bytes(buf[:w * h], "little") - _byte_offsets(off, w, h)
+    hi = int.from_bytes(buf[w * h:], "little") - _byte_offsets(off, w, n - h)
+    del buf
+    cross = (lo * hi) & ((1 << (8 * w * (n - h))) - 1)      # lo hi mod B^(n-h)
+    sq = lo * lo + (cross << (8 * w * h + 1)) + _byte_offsets(off, w, n)
+    del lo, hi, cross
+    buf = (sq & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    del sq
+    return [int.from_bytes(buf[i:i + w], "little") - off
+            for i in range(0, w * n, w)]
+
+
+# -- the Eichler-Selberg trace formula at level one -------------------------
+
+
+def hurwitz_class_numbers(bound):
+    """[H(0), ..., H(bound)]: H(N) counts the SL2(Z)-classes of positive
+    definite forms a x^2 + b xy + c y^2 with b^2 - 4ac = -N, the classes
+    of a(x^2 + y^2) weighted 1/2 and of a(x^2 + xy + y^2) weighted 1/3,
+    with H(0) = -1/12 and H(N) = 0 for N = 1, 2 mod 4.  One sweep over
+    the reduced forms |b| <= a <= c (b >= 0 when |b| = a or a = c)."""
+    sixths = [0] * (bound + 1)
+    a = 1
+    while 3 * a * a <= bound:
+        for b in range(-a + 1, a + 1):
+            c = a if b >= 0 else a + 1
+            while 4 * a * c - b * b <= bound:
+                if a == c == b:
+                    sixths[4 * a * c - b * b] += 2
+                elif a == c and b == 0:
+                    sixths[4 * a * c - b * b] += 3
+                else:
+                    sixths[4 * a * c - b * b] += 6
+                c += 1
+        a += 1
+    h = [Fraction(v, 6) for v in sixths]
+    h[0] = Fraction(-1, 12)
+    return h
+
+
+def eichler_selberg_trace(k, n, h):
+    """tr T_n on S_k(SL2(Z)) for even k >= 2, from the geometric side:
+
+        -1/2 sum_{t^2 <= 4n} P_k(t, n) H(4n - t^2)
+        - 1/2 sum_{dd' = n} min(d, d')^(k-1) + [k = 2] sigma(n),
+
+    with P_k(t, n) = u_(k-1), u_0 = 0, u_1 = 1, u_j = t u_(j-1) - n u_(j-2),
+    and h = hurwitz_class_numbers(N) for some N >= 4n."""
+    elliptic = Fraction(0)
+    t = 0
+    while t * t <= 4 * n:
+        u0, u1 = 0, 1
+        for _ in range(k - 2):
+            u0, u1 = u1, t * u1 - n * u0
+        # P_k is even in t for even k, so t and -t count alike
+        elliptic += (1 if t == 0 else 2) * u1 * h[4 * n - t * t]
+        t += 1
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    hyperbolic = sum(min(d, n // d) ** (k - 1) for d in divisors)
+    trace = -elliptic / 2 - Fraction(hyperbolic, 2)
+    if k == 2:
+        trace += sum(divisors)
+    return trace

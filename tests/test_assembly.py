@@ -14,7 +14,7 @@ from gl2trace.assembly import (ArchProfile, ExactnessError,
                                _cmp_log, _exp_bracket,
                                cartan_discrepancy, correction_term,
                                format_cartan_report, format_correction_report,
-                               format_pieces, intertwining_constant,
+                               intertwining_constant,
                                load_config, numeric_verify, one_dim_geometric,
                                one_dim_spectral, parse_pieces,
                                residual_breakdown, residual_geometric,
@@ -24,7 +24,7 @@ from gl2trace.chargroup import (GroupFunction, class_group_mod_squares,
 from gl2trace.hecke import HeckeElement, LocalField
 from gl2trace.rings import LaurentQ
 
-from _oracles import project
+from _oracles import format_pieces, project
 
 INF = "inf"
 

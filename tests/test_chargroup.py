@@ -17,16 +17,16 @@ import gl2trace
 from gl2trace import chargroup
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,
                                 GroupCharacter, GroupFunction, QuadChar,
-                                annihilator, characters,
-                                class_group_mod_squares, cyclotomic_poly,
+                                annihilator, class_group_mod_squares, cyclotomic_poly,
                                 fourier, hilbert_symbol, kronecker, legendre,
                                 parse_group_function, poisson_check,
                                 quad_char_eval, subgroup_generated)
 
-from _oracles import (closure_subgroup, format_group_function,
-                      fraction_poisson_check, on_element, on_vector,
-                      parse_group_function_oracle, project,
-                      sample_poisson_triple)
+from _oracles import (characters, closure_subgroup, conj,
+                      format_group_function, fraction_poisson_check,
+                      on_element, on_vector, parse_group_function_oracle,
+                      project, reduce_vector, sample_poisson_triple,
+                      section_vector)
 
 INF = "inf"
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -38,7 +38,7 @@ def fourier_cyclo(f, psi):
     L = f.group.exponent
     total = CycloNumber.rational(L, 0)
     for g in f.group.elements():
-        total = total + f(g) * psi(g).conj()
+        total = total + f(g) * conj(psi(g))
     return total
 
 
@@ -105,7 +105,7 @@ def test_cyclo_arithmetic():
     for k in range(1, 5):
         total = total + CycloNumber.zeta(5, k)
     assert total == 0  # 1 + z + z^2 + z^3 + z^4 = 0
-    assert z * z.conj() == 1
+    assert z * conj(z) == 1
     assert z * CycloNumber.zeta(5, 4) == 1
     w = CycloNumber.zeta(8)
     assert w * w == CycloNumber.zeta(8, 2)
@@ -644,14 +644,14 @@ def test_symbol_input_checks_survive_optimize():
             "    hilbert_symbol, local_square_class, quad_char_eval)\n"
             "from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup,\n"
             "    GroupCharacter)\n"
-            "from _oracles import on_element, on_vector\n"
+            "from _oracles import on_element, on_vector, section_vector\n"
             "g = class_group_mod_squares(['inf', 2, 3])\n"
             "z4, z8 = CycloNumber.zeta(4), CycloNumber.zeta(8)\n"
             "for call in (lambda: hilbert_symbol(0, 3, 2),\n"
             "             lambda: hilbert_symbol(3, '0/5', 'inf'),\n"
             "             lambda: local_square_class(0, 3),\n"
             "             lambda: g.diagonal_vector(0),\n"
-            "             lambda: g.section_vector(0),\n"
+            "             lambda: section_vector(g, 0),\n"
             "             lambda: quad_char_eval(QuadChar(5), 0),\n"
             "             lambda: on_element(QuadChar(5), (1,)),\n"
             "             lambda: on_vector(QuadChar(-4), (1, 0)),\n"
@@ -739,22 +739,22 @@ def project_to_D(t, sgroup):
 
 def diagonal_class(sgroup, t):
     " class of the full diagonal image (trivial by construction) "
-    return sgroup.reduce_vector(sgroup.diagonal_vector(t))
+    return reduce_vector(sgroup, sgroup.diagonal_vector(t))
 
 
 def test_project_examples():
     g = class_group_mod_squares([INF, 2])
     assert project_to_D(1, g) == g.group.identity()
     # -1 touches only the sign coordinate; its class generates
-    assert g.section_vector(Fraction(-1)) == (1, 0, 0, 0)
+    assert section_vector(g, Fraction(-1)) == (1, 0, 0, 0)
     minus = project_to_D(-1, g)
-    assert minus == g.reduce_vector((1, 0, 0, 0))
+    assert minus == reduce_vector(g, (1, 0, 0, 0))
     assert minus != g.group.identity()
     # the uniformizer section (0,1,0,0) happens to coincide with the
     # full diagonal of 2 when S = {inf, 2}, so its class degenerates
-    assert g.section_vector(Fraction(2)) == (0, 1, 0, 0)
+    assert section_vector(g, Fraction(2)) == (0, 1, 0, 0)
     two = project_to_D(2, g)
-    assert two == g.reduce_vector((0, 1, 0, 0))
+    assert two == reduce_vector(g, (0, 1, 0, 0))
     assert two == g.group.identity()
     with pytest.raises(ValueError):
         project_to_D(Fraction(3), g)
@@ -906,8 +906,8 @@ def test_section_vector_matches_hand_valuations():
             t = Fraction(rng.choice((1, -1)))
             for p in g.places[1:]:
                 t *= Fraction(p) ** rng.randint(-3, 3)
-            assert g.section_vector(t) == hand_section_vector(g, t), (S, t)
-            assert project(g, t) == g.reduce_vector(hand_section_vector(g, t))
+            assert section_vector(g, t) == hand_section_vector(g, t), (S, t)
+            assert project(g, t) == reduce_vector(g, hand_section_vector(g, t))
 
 
 def test_unramified_flags():

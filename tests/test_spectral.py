@@ -1,10 +1,12 @@
 """Eigenvalue tables, Satake normalization, estimators."""
 
+import decimal
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,9 @@ from gl2trace.spectral import (AdjointProxy, EigenTable, _trace_of,
                                delta_qexpansion, estimator_series,
                                format_estimates, mr_estimator, pairwise_sum,
                                parse_weighting, primes_below, satake_from_ap)
+
+from _oracles import (byte_slot_bytes, byte_square_truncated,
+                      eichler_selberg_trace, hurwitz_class_numbers)
 
 STD = RepSpec(1)
 SYM2 = RepSpec(2)
@@ -94,12 +99,12 @@ def kronecker_tau(x):
     return c
 
 
-def width_steps(c):
-    """Every x <= len(c) at which the kernel's slot width for squaring
-    c[:x] grows.  m and S only grow with x, so the width does too, and
+def width_steps(c, slot_width=kernels._slot_digits):
+    """Every x <= len(c) at which the slot width for squaring c[:x]
+    grows.  m and S only grow with x, so the width does too, and
     bisection finds each step."""
     def width(x):
-        return kernels._slot_bytes(c[:x])
+        return slot_width(c[:x])
     steps = []
     x = 1
     while width(x) < width(len(c)):
@@ -158,12 +163,37 @@ def test_tau_at_every_slot_width_step():
         assert tau_table(x) == kronecker_tau(x), x
 
 
+def test_square_matches_byte_slot_oracle():
+    """The digit-slot squaring against the byte-slot squaring it
+    replaced, on both sides of every x <= 3000 where either one changes
+    its slot width for the eta^6 or the eta^12 stage."""
+    top = 3000
+    eta6 = kernels._eta6(top)
+    eta12 = kronecker_square(eta6)
+    for c in (eta6, eta12):
+        xs = set()
+        for slot_width in (kernels._slot_digits, byte_slot_bytes):
+            for x in width_steps(c, slot_width):
+                xs.update((x - 1, x))
+        for x in sorted(xs):
+            assert (kernels._square_truncated(c[:x])
+                    == byte_square_truncated(c[:x])), x
+
+
 def test_square_at_the_slot_bound():
     """All-equal and alternating series of even length n reach the
     2 m S bound exactly (|d_(n-1)| = n m^2), so the top slot is filled
-    as far as the width allows; m runs across every byte boundary."""
+    as far as the width allows.  m runs across every byte boundary and
+    every power of ten, and to both sides of each m where 8 m S, with
+    S = m ceil(n/2), crosses a power of ten, so that the digit width
+    steps."""
     for n in range(1, 13):
-        for m in sorted({2 ** j + d for j in range(48) for d in (-1, 0)}):
+        ms = {2 ** j + d for j in range(48) for d in (-1, 0)}
+        ms |= {10 ** j + d for j in range(15) for d in (-1, 0)}
+        for j in range(1, 30):
+            edge = math.isqrt((10 ** j - 1) // (8 * ((n + 1) // 2)))
+            ms |= {edge, edge + 1}
+        for m in sorted(ms):
             for sign in (1, -1):
                 c = [m * sign ** i for i in range(n)]
                 want = [sum(c[i] * c[k - i] for i in range(k + 1))
@@ -171,14 +201,44 @@ def test_square_at_the_slot_bound():
                 arg = list(c)
                 assert kernels._square_truncated(arg) == want, (n, m, sign)
                 assert arg == []
+                assert byte_square_truncated(list(c)) == want, (n, m, sign)
+
+
+def test_square_with_a_zero_low_half():
+    """S = 0 when the low half of c vanishes, so the truncated square is
+    0; the max(S, 1) in the slot width still makes room for the upper
+    half's inputs, which a bound on 2 m S alone would not."""
+    for n in range(2, 9):
+        for m in (1, 4, 5, 9, 10, 99, 10 ** 6, 10 ** 20):
+            for sign in (1, -1):
+                c = [0] * ((n + 1) // 2) + [sign * m] * (n // 2)
+                assert kernels._square_truncated(c) == [0] * n, (n, m, sign)
 
 
 def test_slot_widths_at_10k():
-    " the proven 2 m S bound gives 6 and 11 bytes; n m^2 gave 7 and 12 "
+    """The 8 m S bound gives slots of 14 and 26 digits; the byte-slot
+    kernel's 2 m S < 2^(8w-1) gave 6 and 11 bytes (and n m^2, 7 and 12)."""
     x = 10 ** 4
     eta6 = kernels._eta6(x)
     eta12 = kronecker_square(eta6)
-    assert [kernels._slot_bytes(c) for c in (eta6, eta12)] == [6, 11]
+    assert [kernels._slot_digits(c) for c in (eta6, eta12)] == [14, 26]
+    assert [byte_slot_bytes(c) for c in (eta6, eta12)] == [6, 11]
+
+
+def test_square_raises_when_the_context_would_round(monkeypatch):
+    """A context whose precision holds the packed series but not its
+    square must raise, not return a rounded table: the traps make any
+    rounding an error."""
+    c = kernels._eta6(500)
+    digits = kernels._slot_digits(c) * len(c)
+    assert all(kernels._EXACT.traps[s] for s in (
+        decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+        decimal.Overflow))
+    for prec in (digits, digits // 2):
+        monkeypatch.setattr(kernels, "_EXACT", kernels._EXACT.copy())
+        kernels._EXACT.prec = prec
+        with pytest.raises((decimal.Rounded, decimal.Inexact)):
+            kernels._square_truncated(list(c))
 
 
 def test_tau_kernel_memory():
@@ -191,6 +251,27 @@ def test_tau_kernel_memory():
         tracemalloc.stop()
     assert len(tau) == 10 ** 4
     assert peak <= 10 ** 6, peak
+
+
+def test_tau_matches_eichler_selberg():
+    """tau(n) = tr T_n on S_12 from the geometric side of the trace
+    formula (class numbers and divisor sums, no big-int products), for
+    every n <= 300."""
+    h = hurwitz_class_numbers(4 * 300)
+    tau = tau_table(300)
+    assert [eichler_selberg_trace(12, n, h) for n in range(1, 301)] == tau
+
+
+def test_eichler_selberg_vanishes_where_s_k_is_zero():
+    """S_k = 0 for k = 2, 4, 6, 8, 10 and 14, so the geometric side is 0
+    for every n < 100.  At k = 2 this is the Kronecker-Hurwitz relation
+    sum_t H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d)."""
+    h = hurwitz_class_numbers(4 * 99)
+    assert h[:13] == [Fraction(-1, 12), 0, 0, Fraction(1, 3), Fraction(1, 2),
+                      0, 0, 1, 1, 0, 0, 1, Fraction(4, 3)]
+    for k in (2, 4, 6, 8, 10, 14):
+        for n in range(1, 100):
+            assert eichler_selberg_trace(k, n, h) == 0, (k, n)
 
 
 def test_tau_empty():
