@@ -281,18 +281,26 @@ def _cmd_intertwine(args):
     return OK
 
 
+def _table_x(x):
+    " the --x of tau and estimate-mr, checked before the kernel runs "
+    if x < 2:
+        raise _Usage("--x value x = %d is below 2: no primes to tabulate" % x)
+    return x
+
+
 def _cmd_tau(args):
-    table = delta_qexpansion(args.x)
+    table = delta_qexpansion(_table_x(args.x))
     if table.ap(2) != -24:
         print("FAIL tau(2) = %d from the %s kernel" % (table.ap(2), BACKEND))
         return FAIL
     for p in table.primes():
         a = table.ap(p)
-        if a * a > 4 * p ** 11:
+        p11 = p ** 11
+        if a * a > 4 * p11:
             print("FAIL tau(%d) = %d breaks Deligne's bound tau(p)^2 <= 4p^11"
                   % (p, a))
             return FAIL
-        if (a - 1 - pow(p, 11, 691)) % 691:
+        if (a - 1 - p11) % 691:
             print("FAIL tau(%d) = %d breaks Ramanujan's congruence "
                   "tau(p) = 1 + p^11 mod 691" % (p, a))
             return FAIL
@@ -301,7 +309,8 @@ def _cmd_tau(args):
 
 
 def _n_grid(text, x):
-    " the --n-grid integers, each at most the table bound x + 1 "
+    """the --n-grid integers, each from 3 (the first n with a prime
+    below it) to the table bound x + 1"""
     ns = []
     for bit in text.split(","):
         try:
@@ -309,6 +318,9 @@ def _n_grid(text, x):
         except ValueError:
             raise _Usage("--n-grid wants comma-separated integers, got %r"
                          % bit)
+        if ns[-1] < 3:
+            raise _Usage("--n-grid value n = %d is below 3: no primes below it"
+                         % ns[-1])
         if ns[-1] > x + 1:
             raise _Usage("--n-grid value n = %d exceeds the table bound "
                          "x + 1 = %d" % (ns[-1], x + 1))
@@ -316,9 +328,13 @@ def _n_grid(text, x):
 
 
 def _cmd_estimate_mr(args):
-    rep = parse_weighting(args.r)
-    ns = _n_grid(args.n_grid, args.x)
-    rows = estimator_series(rep, delta_qexpansion(args.x), ns)
+    x = _table_x(args.x)
+    try:
+        rep = parse_weighting(args.r)
+    except ValueError as e:
+        raise _Usage("--r %s: %s" % (args.r, e)) from None
+    ns = _n_grid(args.n_grid, x)
+    rows = estimator_series(rep, delta_qexpansion(x), ns)
     _write_out(args, format_estimates(rows))
     return OK
 

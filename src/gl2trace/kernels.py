@@ -32,11 +32,22 @@ precision and exponent and with Inexact, Rounded, InvalidOperation and
 Overflow trapped, so any rounding raises instead of returning a wrong
 table.  The table is exact for every x, with no floats anywhere.
 
+Reading: tau(n) is slot n - 1 of the last square.  tau_table(x, ns)
+converts only the slots that ns asks for, so a caller that wants tau(p)
+for the primes p <= x turns pi(x) slots into ints instead of x (1,229 of
+10,000 at x = 10^4).  Slot widths, offsets and the context do not depend
+on ns, so the proof above holds for every read.  An n outside 1..x
+raises ValueError: its slice would be empty or, further out, silently
+a slot of another coefficient.
+
 Memory: each list is packed _CHUNK coefficients at a time and emptied
 as it is packed, and each digit string and big temporary is released
-before the next one is formed.  At x = 10^4 the traced peak is about
-0.90 MB, reached inside the last multiply (its three transform buffers
-take about 0.77 MB); the returned list is 0.43 MB.
+before the next one is formed.  At x = 10^4 the traced peak is reached
+inside the last multiply (its three transform buffers take about
+0.77 MB): 0.90 MB for the whole table and 0.91 MB read at the primes,
+whose copy of ns is the 0.01 MB more; the slot indices are drawn only
+after that multiply.  The whole table returned is 0.43 MB; the 1,229
+values at the primes take 0.05 MB.
 """
 
 import decimal
@@ -80,8 +91,9 @@ def _offsets(d, n):
     return _EXACT.create_decimal(("5" + "0" * (d - 1)) * n)
 
 
-def _square_truncated(c):
-    """First n = len(c) coefficients of the square of the series c.
+def _square_truncated(c, at=None):
+    """First n = len(c) coefficients of the square of the series c, or
+    only those at the indices in at (each in 0..n-1), in that order.
     Empties c as it is packed, so that the list is gone before the
     product is formed."""
     n = len(c)
@@ -103,14 +115,23 @@ def _square_truncated(c):
     a = decimal.Context(prec=d * n).shift(a, 0)     # a^2 + offsets mod B^n
     digits = str(a)
     del a
-    return [int(digits[i - d:i]) - off for i in range(d * n, 0, -d)]
+    # coefficient k is the slot ending d * (n - k) digits into the string
+    ends = range(d * n, 0, -d) if at is None else [d * (n - k) for k in at]
+    return [int(digits[i - d:i]) - off for i in ends]
 
 
-def tau_table(x):
-    """[tau(1), ..., tau(x)] as exact ints; [] for x < 1."""
+def tau_table(x, ns=None):
+    """[tau(n) for n in ns] as exact ints, in the order of ns; with no
+    ns, [tau(1), ..., tau(x)] ([] for x < 1).  Raises ValueError for an
+    n outside 1..x."""
+    if ns is not None:
+        ns = list(ns)                           # read twice
+        bad = [n for n in ns if not 1 <= n <= x]
+        if bad:
+            raise ValueError("tau(%s) is outside tau_table(%d), which holds "
+                             "n = 1..%d" % (bad[0], x, x))
     if x < 1:
         return []
-    c = _eta6(x)
-    for _ in range(2):                          # eta^6 -> eta^12 -> eta^24
-        c = _square_truncated(c)
-    return c
+    c = _square_truncated(_eta6(x))             # eta^6 -> eta^12
+    # the slot indices are drawn after the last multiply, off its peak
+    return _square_truncated(c, None if ns is None else (n - 1 for n in ns))

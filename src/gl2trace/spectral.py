@@ -8,6 +8,7 @@ doubles and reports trends rather than asserting limits.
 
 import bisect
 import cmath
+import itertools
 import math
 
 from .basicfn import RepSpec, rep_weights
@@ -21,8 +22,8 @@ def primes_below(n):
     sieve[0] = sieve[1] = 0
     for p in range(2, int(n ** 0.5) + 1):
         if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return [p for p in range(n) if sieve[p]]
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(itertools.compress(range(n), sieve))
 
 
 class EigenTable:
@@ -78,9 +79,8 @@ def delta_qexpansion(x):
     " discriminant-form eigenvalues tau(p) for p <= x, from the q-expansion "
     if x < 2:
         raise ValueError("x = %s is below 2: no primes to tabulate" % x)
-    taus = tau_table(x)
-    ap = {p: taus[p - 1] for p in primes_below(x + 1)}
-    return EigenTable("Delta", 12, ap, bound=x + 1)
+    ps = primes_below(x + 1)
+    return EigenTable("Delta", 12, zip(ps, tau_table(x, ps)), bound=x + 1)
 
 
 def satake_from_ap(table, p):
@@ -110,10 +110,13 @@ def parse_weighting(name):
     return RepSpec.parse(name)
 
 
-def _trace_of(r, alpha, beta):
+def _trace_fn(r):
+    " (alpha, beta) -> tr r(diag(alpha, beta)), with r's weights listed once "
     if isinstance(r, RepSpec):
-        return sum(alpha ** e1 * beta ** e2 for e1, e2 in rep_weights(r))
-    return r.trace(alpha, beta)
+        weights = rep_weights(r)
+        return lambda alpha, beta: sum(alpha ** e1 * beta ** e2
+                                       for e1, e2 in weights)
+    return r.trace
 
 
 def pairwise_sum(xs):
@@ -148,11 +151,12 @@ def estimator_series(r, table, ns):
         counts.append(bisect.bisect_left(ps, n))
         if not counts[-1]:
             raise ValueError("no primes below %s in the table" % n)
+    trace = _trace_fn(r)
     terms = []
     for p in ps[:max(counts, default=0)]:
         alpha, beta = satake_from_ap(table, p)
         # log measure weight against the real part of the trace
-        terms.append(math.log(p) * complex(_trace_of(r, alpha, beta)).real)
+        terms.append(math.log(p) * complex(trace(alpha, beta)).real)
     return [(n, pairwise_sum(terms[:k]) / k) for n, k in zip(ns, counts)]
 
 

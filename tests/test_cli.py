@@ -223,10 +223,8 @@ def test_tau_deligne_failure(monkeypatch, capsys):
     from gl2trace import spectral
     good = spectral.tau_table
 
-    def forged(x):
-        t = good(x)
-        t[4] = 10 ** 9                               # tau(5)
-        return t
+    def forged(x, ns):
+        return [10 ** 9 if n == 5 else t for n, t in zip(ns, good(x, ns))]
     monkeypatch.setattr(spectral, "tau_table", forged)
     assert run(["tau", "--x", "30"]) == 1
     assert "FAIL tau(5) = 1000000000" in capsys.readouterr().out
@@ -237,11 +235,10 @@ def test_tau_congruence_failure(monkeypatch, capsys):
     from gl2trace import spectral
     good = spectral.tau_table
 
-    def forged(x):
-        t = good(x)
-        assert t[4] == 4830
-        t[4] = 4831                                  # tau(5)
-        return t
+    def forged(x, ns):
+        taus = good(x, ns)
+        assert taus[ns.index(5)] == 4830
+        return [4831 if n == 5 else t for n, t in zip(ns, taus)]
     monkeypatch.setattr(spectral, "tau_table", forged)
     assert 4831 ** 2 <= 4 * 5 ** 11
     assert run(["tau", "--x", "30"]) == 1
@@ -250,11 +247,11 @@ def test_tau_congruence_failure(monkeypatch, capsys):
                    "tau(p) = 1 + p^11 mod 691\n")
 
 
-@pytest.mark.parametrize("grid", ["100,abc", "50,1000"])
+@pytest.mark.parametrize("grid", ["100,abc", "50,1000", "2,50", "0,50"])
 def test_estimate_mr_grid_checked_before_kernel(grid, monkeypatch, capsys):
     from gl2trace import spectral
     calls = []
-    monkeypatch.setattr(spectral, "tau_table", calls.append)
+    monkeypatch.setattr(spectral, "tau_table", lambda *a: calls.append(a))
     assert run(["estimate-mr", "--x", "100", "--n-grid", grid]) == 2
     assert capsys.readouterr().err.startswith("error: --n-grid ")
     assert calls == []
@@ -310,6 +307,13 @@ BAD_VALUES = [
     (["intertwine", "--s-grid", "inf"], "--s-grid value s = inf is not finite"),
     (["intertwine", "--s-grid", "1e-2,1e-300"], "--s-grid value s = 1e-300 is below"),
     (["intertwine", "--tol", "nan"], "--tol nan is not a finite number > 0"),
+    (["estimate-mr", "--x", "100", "--r", "spin7", "--n-grid", "2"],
+     "--r spin7: unknown representation 'spin7'"),
+    (["estimate-mr", "--x", "100", "--n-grid", "50,2"],
+     "--n-grid value n = 2 is below 3: no primes below it"),
+    (["tau", "--x", "-5"], "--x value x = -5 is below 2"),
+    (["estimate-mr", "--x", "1", "--r", "spin7", "--n-grid", "0"],
+     "--x value x = 1 is below 2"),
 ]
 
 

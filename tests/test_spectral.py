@@ -12,10 +12,9 @@ import pytest
 
 import gl2trace
 from gl2trace import kernels
-from gl2trace.basicfn import RepSpec
+from gl2trace.basicfn import RepSpec, rep_weights
 from gl2trace.kernels import tau_table
-from gl2trace.spectral import (AdjointProxy, EigenTable, _trace_of,
-                               delta_qexpansion, estimator_series,
+from gl2trace.spectral import (AdjointProxy, EigenTable, delta_qexpansion, estimator_series,
                                format_estimates, mr_estimator, pairwise_sum,
                                parse_weighting, primes_below, satake_from_ap)
 
@@ -276,6 +275,24 @@ def test_eichler_selberg_vanishes_where_s_k_is_zero():
 
 def test_tau_empty():
     assert tau_table(0) == []
+    assert tau_table(0, []) == tau_table(30, []) == []
+
+
+def test_tau_read_at_ns():
+    " values in the order of ns, duplicates included "
+    full = tau_table(30)
+    ns = [7, 2, 7, 30, 1, 29, 2]
+    assert tau_table(30, ns) == [full[n - 1] for n in ns]
+    assert tau_table(30, range(1, 31)) == full
+    assert tau_table(30, iter(ns)) == tau_table(30, ns)
+
+
+@pytest.mark.parametrize("n", [0, -1, 31])
+def test_tau_read_outside_the_table(n):
+    " a slot outside 1..x would read empty or a neighbour; it raises "
+    with pytest.raises(ValueError, match=r"tau\(%d\) is outside tau_table\(30\)"
+                       % n):
+        tau_table(30, [2, n, 3])
 
 
 def test_tau_deligne_and_multiplicativity():
@@ -317,6 +334,20 @@ def test_delta_table():
     for x in (1, 0):
         with pytest.raises(ValueError, match="x = %d" % x):
             delta_qexpansion(x)
+
+
+def test_delta_reads_the_prime_slots():
+    """delta_qexpansion reads only the prime slots of the last square; it
+    equals the full table at the primes on both sides of every x <= 5000
+    where the eta^12 stage changes its slot width, and at x = 2, 3, 10^4."""
+    eta12 = kronecker_square(kernels._eta6(5000))
+    xs = {2, 3, 10 ** 4}
+    for x in width_steps(eta12):
+        xs.update((x - 1, x))
+    for x in sorted(xs - {1}):
+        full = tau_table(x)
+        want = {p: full[p - 1] for p in primes_below(x + 1)}
+        assert delta_qexpansion(x).ap_map == want, x
 
 
 def test_table_validation():
@@ -402,6 +433,13 @@ def test_estimator_series_csv():
     assert int(n) == 50 and float(est) == rows[0][1]
 
 
+def trace_of(r, alpha, beta):
+    " tr r(diag(alpha, beta)), listing r's weights at every call "
+    if isinstance(r, RepSpec):
+        return sum(alpha ** e1 * beta ** e2 for e1, e2 in rep_weights(r))
+    return r.trace(alpha, beta)
+
+
 def reference_mr(r, table, n):
     " the per-n estimator loop: one prime list and one term list per n "
     if n > table.bound:
@@ -413,7 +451,7 @@ def reference_mr(r, table, n):
     terms = []
     for p in ps:
         alpha, beta = satake_from_ap(table, p)
-        terms.append(math.log(p) * complex(_trace_of(r, alpha, beta)).real)
+        terms.append(math.log(p) * complex(trace_of(r, alpha, beta)).real)
     return pairwise_sum(terms) / len(ps)
 
 

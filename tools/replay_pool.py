@@ -14,8 +14,9 @@ bytes give the same digest.  The last line is
 
     jobs N nonzero K sha256 HEX
 
-where K counts the jobs whose exit code is not 0.  Nothing under
-perfbench/ is edited.
+where K counts the jobs whose exit code is not 0.  The script exits 1
+when K > 0 and 0 otherwise, so a byte-identity check can be chained in a
+shell script.  Nothing under perfbench/ is edited.
 """
 
 import argparse
@@ -73,7 +74,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     n, nonzero, hexdigest = replay(args.workload, args.seed, args.seconds)
     print("jobs %d nonzero %d sha256 %s" % (n, nonzero, hexdigest))
-    return 0
+    return 1 if nonzero else 0
 
 
 if __name__ == "__main__":
