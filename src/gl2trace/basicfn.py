@@ -10,10 +10,14 @@ where h_n is the complete homogeneous symmetric function.  The left side
 is reached through Hecke elements and spherical traces, the right side
 by expanding the rational function; their exact agreement is the
 module's central invariant.
+
+A truncated series is a plain list of its t^0 .. t^N coefficients.  Every
+series coefficient and every RationalFn coefficient is a LaurentQ, over
+Q or, where a value is not real, over Q(i).  The two sides of the
+identity therefore compare with ==.
 """
 
 import re as _re
-from fractions import Fraction
 
 from .hecke import LocalField, SymLaurent, inverse_satake, spherical_trace
 from .rings import LaurentQ, QiNumber
@@ -46,6 +50,8 @@ class RepSpec:
         if "det" in s:
             head, _, tail = s.partition("det")
             head = head.rstrip("x")
+            if not _re.fullmatch(r"([-+]?\d+)?", tail):
+                raise ValueError("unknown representation %r" % name)
             m = int(tail) if tail else 1
             s = head if head else "triv"
         if s in ("std", ""):
@@ -107,97 +113,26 @@ def basic_coeff(r, n, field):
     """n-th coefficient of the basic function: the exact inverse
     transform of symn_trace(r, n).  Supported on determinant
     valuation n*(k+2m)."""
-    tr = symn_trace(r, n)
-    lifted = SymLaurent({k: LaurentQ(c.a, c.b, field.q) for k, c in tr.coeffs.items()}, field.q)
-    return inverse_satake(lifted, field)
+    return inverse_satake(symn_trace(r, n), field)
 
 
 # -- series and rational functions --------------------------------------
 
 
-def _coeff_token(c):
-    if isinstance(c, LaurentQ):
-        return c.compact()
-    if isinstance(c, QiNumber):
-        return str(c).replace(" ", "")
-    if isinstance(c, (int, Fraction)):
-        return str(Fraction(c))
-    return repr(c)
-
-
 def _poly_text(coeffs):
-    return " ".join("%d:%s" % (k, _coeff_token(c)) for k, c in enumerate(coeffs) if c)
-
-
-def _as_fraction(c):
-    " underlying rational, or None when the value is not plain rational "
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    if isinstance(c, LaurentQ) and c.v_free:
-        return c.a
-    if isinstance(c, QiNumber) and c.im == 0:
-        return c.re
-    return None
-
-
-def value_eq(a, b):
-    " exact equality across the coefficient rings used by series "
-    if type(a) is type(b):
-        return a == b
-    fa, fb = _as_fraction(a), _as_fraction(b)
-    if fa is not None and fb is not None:
-        return fa == fb
-    r = a == b
-    return r is True
-
-
-class RationalSeries:
-    """Truncated power series in t with exact coefficients."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("series order %d is negative" % order)
-        if len(coeffs) != order + 1:
-            raise ValueError("a series of order %d takes order + 1 = %d "
-                             "coefficients, got %d" % (order, order + 1, len(coeffs)))
-        self.coeffs = coeffs
-        self.order = order
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(value_eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
-
-    def __str__(self):
-        return " + ".join("(%s)*t^%d" % (c, k) for k, c in enumerate(self.coeffs)) \
-            + " + O(t^%d)" % (self.order + 1)
-
-    __repr__ = __str__
-
-    def to_text(self):
-        return "order %d\nseries: %s\n" % (
-            self.order,
-            " ".join("%d:%s" % (k, _coeff_token(c)) for k, c in enumerate(self.coeffs)))
+    return " ".join("%d:%s" % (k, c.compact()) for k, c in enumerate(coeffs) if c)
 
 
 class RationalFn:
     """Ratio of polynomials in t, denominator normalized to constant
-    term 1; coefficients exact."""
+    term 1; coefficients are LaurentQ, and int, Fraction or QiNumber
+    ones are wrapped on the way in."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        num, den = list(num), list(den)
+        num = [c if isinstance(c, LaurentQ) else LaurentQ(c) for c in num]
+        den = [c if isinstance(c, LaurentQ) else LaurentQ(c) for c in den]
         while len(num) > 1 and not num[-1]:
             num.pop()
         while len(den) > 1 and not den[-1]:
@@ -208,21 +143,21 @@ class RationalFn:
         if not c0:
             raise ValueError("denominator must be a unit at t = 0")
         if c0 != 1:
-            inv = c0.inverse() if hasattr(c0, "inverse") else Fraction(1) / c0
+            inv = c0.inverse()
             num = [c * inv for c in num]
             den = [c * inv for c in den]
         self.num = num
         self.den = den
 
     def series(self, order):
-        " expand to a RationalSeries of the given truncation order "
+        " the coefficients of t^0 .. t^order, a list of LaurentQ "
         out = []
         for n in range(order + 1):
-            c = self.num[n] if n < len(self.num) else 0
+            c = self.num[n] if n < len(self.num) else LaurentQ(0)
             for j in range(1, min(n, len(self.den) - 1) + 1):
                 c = c - self.den[j] * out[n - j]
             out.append(c)
-        return RationalSeries(out, order)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
@@ -274,21 +209,19 @@ def local_l_factor(r, c):
     for (e1, e2) in rep_weights(r):
         w = c.alpha ** e1 * c.beta ** e2
         den = _poly_mul(den, [QiNumber(1), -w])
-    if all(x.im == 0 for x in den):
-        return RationalFn([LaurentQ(1)], [LaurentQ(x.re) for x in den])
-    return RationalFn([QiNumber(1)], den)
+    return RationalFn([1], den)
 
 
 def _trace_value(h, c):
-    " spherical trace reduced to the smallest exact ring that holds it "
+    " spherical trace at c: v-free, so kept as a LaurentQ with no q "
     val = spherical_trace(h, c)
     assert val.v_free, "trace of a basic-function coefficient kept a v-part"
-    return val.a if isinstance(val.a, QiNumber) else LaurentQ(val.a)
+    return LaurentQ(val.a)
 
 
 def trace_series(r, c, N, field):
-    " traces at c of the basic-function coefficients, to order N "
-    return RationalSeries([_trace_value(basic_coeff(r, n, field), c) for n in range(N + 1)], N)
+    " traces at c of the basic-function coefficients, t^0 .. t^N "
+    return [_trace_value(basic_coeff(r, n, field), c) for n in range(N + 1)]
 
 
 def truncated_basic_identity(r, c, N, field=None):

@@ -14,7 +14,7 @@ from .assembly import (cartan_discrepancy, correction_term,
                        intertwining_constant, load_config, numeric_verify,
                        one_dim_geometric, one_dim_spectral, residual_breakdown,
                        residual_geometric, residual_spectral)
-from .basicfn import RepSpec, basic_coeff, local_l_factor, trace_series, value_eq
+from .basicfn import RepSpec, basic_coeff, local_l_factor, trace_series
 from .chargroup import (class_group_mod_squares, parse_group_function,
                         poisson_check, subgroup_generated)
 from .hecke import (HeckeElement, LocalField, SatakeParameter, convolve,
@@ -68,6 +68,14 @@ def _int_pair(text, flag):
     return int(bits[0]), int(bits[1])
 
 
+def _r_flag(text, parse=RepSpec.parse):
+    " the --r representation; a parse error names the flag and its value "
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise _Usage("--r %s: %s" % (text, e)) from None
+
+
 def _fmt(x, as_float):
     if as_float:
         if hasattr(x, "to_float"):
@@ -102,7 +110,7 @@ def _cmd_convolve(args):
 
 
 def _cmd_basic_fn(args):
-    rep = RepSpec.parse(args.r)
+    rep = _r_flag(args.r)
     h = basic_coeff(rep, args.n, LocalField(args.q))
     _write_out(args, h.to_text())
     return OK
@@ -112,7 +120,7 @@ def _cmd_l_factor(args):
     field = LocalField(args.q)
     if args.check is not None and args.check < 0:
         raise _Usage("--check %d is negative: a series order is >= 0" % args.check)
-    rep = RepSpec.parse(args.r)
+    rep = _r_flag(args.r)
     m, n = _int_pair(args.triple, "--triple")
     if not m > n > 0:
         raise _Usage("--triple wants m > n > 0")
@@ -122,7 +130,7 @@ def _cmd_l_factor(args):
     if args.check is not None:
         lhs, rhs = trace_series(rep, c, args.check, field), fn.series(args.check)
         for k in range(args.check + 1):
-            if not value_eq(lhs[k], rhs[k]):
+            if lhs[k] != rhs[k]:
                 print("FAIL at order %d: trace %s vs L-series %s"
                       % (k, lhs[k], rhs[k]))
                 return FAIL
@@ -147,7 +155,7 @@ def _cmd_orbital(args):
 
 
 def _cmd_orbital_zeta(args):
-    rep = RepSpec.parse(args.r)
+    rep = _r_flag(args.r)
     m1, m2 = _int_pair(args.gamma, "--gamma")
     gamma = SplitClass.from_data(LocalField(args.q), m1, m2, args.d)
     if args.order < 0:
@@ -158,7 +166,7 @@ def _cmd_orbital_zeta(args):
     if fn is None:
         print("FAIL no rational function of degree (%d, %d) matches; "
               "first coefficients: %s"
-              % (degn, degd, [str(c) for c in series.coeffs[:4]]))
+              % (degn, degd, [str(c) for c in series[:4]]))
         return FAIL
     print(fn.to_text(), end="")
     print("certified on %d coefficients beyond the fitting window"
@@ -329,10 +337,7 @@ def _n_grid(text, x):
 
 def _cmd_estimate_mr(args):
     x = _table_x(args.x)
-    try:
-        rep = parse_weighting(args.r)
-    except ValueError as e:
-        raise _Usage("--r %s: %s" % (args.r, e)) from None
+    rep = _r_flag(args.r, parse_weighting)
     ns = _n_grid(args.n_grid, x)
     rows = estimator_series(rep, delta_qexpansion(x), ns)
     _write_out(args, format_estimates(rows))

@@ -201,14 +201,7 @@ class HeckeElement:
     # -- serialization --------------------------------------------------
 
     def to_text(self):
-        lines = ["q %d kmin 0" % self.field.q]
-        for (a, b) in self.support():
-            c = self.coeffs[(a, b)]
-            if c.b:
-                lines.append("%d %d %s %s" % (a, b, c.a, c.b))
-            else:
-                lines.append("%d %d %s" % (a, b, c.a))
-        return "\n".join(lines) + "\n"
+        return _table_text(self.field.q, self.coeffs)
 
     @classmethod
     def from_text(cls, text):
@@ -239,6 +232,19 @@ class HeckeElement:
         if field is None:
             raise ValueError("empty Hecke element file")
         return cls(field, coeffs)
+
+
+def _table_text(q, coeffs):
+    """the text form HeckeElement.from_text reads: a 'q Q kmin 0' header,
+    then 'a b c_0' or 'a b c_0 c_1' for c_0 + c_1 v on each key, sorted"""
+    lines = ["q %d kmin 0" % q]
+    for (a, b) in sorted(coeffs):
+        c = coeffs[(a, b)]
+        if c.b:
+            lines.append("%d %d %s %s" % (a, b, c.a, c.b))
+        else:
+            lines.append("%d %d %s" % (a, b, c.a))
+    return "\n".join(lines) + "\n"
 
 
 def _coefficient(tok):
@@ -494,15 +500,7 @@ class SymLaurent:
     __repr__ = __str__
 
     def to_text(self):
-        q = self.q
-        lines = ["q %s kmin 0" % (q if q is not None else 0)]
-        for (i, j) in self.support():
-            c = self.coeffs[(i, j)]
-            if c.b:
-                lines.append("%d %d %s %s" % (i, j, c.a, c.b))
-            else:
-                lines.append("%d %d %s" % (i, j, c.a))
-        return "\n".join(lines) + "\n"
+        return _table_text(self.q or 0, self.coeffs)
 
 
 def n_integral(h, m1, m2):

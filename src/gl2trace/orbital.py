@@ -14,7 +14,7 @@ so the two paths stay independent.
 import warnings
 from fractions import Fraction
 
-from .basicfn import RationalSeries, RationalFn, basic_coeff
+from .basicfn import RationalFn, basic_coeff
 from .chargroup import is_prime
 from .hecke import n_integral
 from .rings import LaurentQ
@@ -236,18 +236,18 @@ def measure_phi_exponent(h, a):
 
 
 def orbital_zeta(gamma, r, N):
-    """Series sum of f_G(basic_coeff(r, n), gamma) t^n to order N."""
+    """Coefficients f_G(basic_coeff(r, n), gamma) of t^n, n = 0 .. N."""
     if N < 0:
         raise ValueError("N = %s is negative: a series order is >= 0" % N)
     if not gamma.regular:
         raise ValueError("zeta series needs a regular class")
     field = gamma.field
-    coeffs = [split_orbital(basic_coeff(r, n, field), gamma) for n in range(N + 1)]
-    return RationalSeries(coeffs, N)
+    return [split_orbital(basic_coeff(r, n, field), gamma) for n in range(N + 1)]
 
 
 def rational_reconstruct(series, degN, degD):
-    """Exact rational fit num/den with deg num <= degN, deg den <= degD.
+    """Exact rational fit num/den with deg num <= degN, deg den <= degD
+    to the series coefficients c_0 .. c_order, given as a list.
 
     Fits on the first degN + degD + 1 coefficients and certifies on all
     remaining ones (at least as many again, enforced).  Returns a
@@ -259,15 +259,15 @@ def rational_reconstruct(series, degN, degD):
     if degN < 0 or degD < 0:
         raise ValueError("fit degrees (%d, %d) include a negative degree"
                          % (degN, degD))
+    c = list(series)
     window = degN + degD + 1
-    if series.order + 1 < 2 * window:
+    if len(c) < 2 * window:
         raise ValueError(
             "series order %d too small: need %d coefficients to fit and certify"
-            % (series.order, 2 * window))
-    c = series.coeffs
+            % (len(c) - 1, 2 * window))
 
     def cc(n):
-        return c[n] if 0 <= n <= series.order else LaurentQ(0)
+        return c[n] if 0 <= n < len(c) else LaurentQ(0)
 
     den = _solve_denominator(cc, degN, degD)
     if den is None:
@@ -279,10 +279,8 @@ def rational_reconstruct(series, degN, degD):
             s = s + den[j] * cc(n - j)
         num.append(s)
     fn = RationalFn(num, den)
-    check = fn.series(series.order)
-    for n in range(series.order + 1):
-        if check.coeffs[n] != cc(n):
-            return None
+    if fn.series(len(c) - 1) != c:
+        return None
     return fn
 
 

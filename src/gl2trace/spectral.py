@@ -62,11 +62,8 @@ class EigenTable:
             raise ValueError("prime %s not in the table (bound %d)"
                              % (p, self.bound))
 
-    def primes(self, below=None):
-        ps = sorted(self.ap_map)
-        if below is None:
-            return ps
-        return [p for p in ps if p < below]
+    def primes(self):
+        return sorted(self.ap_map)
 
     def to_csv(self):
         lines = ["p,ap"]

@@ -314,6 +314,14 @@ BAD_VALUES = [
     (["tau", "--x", "-5"], "--x value x = -5 is below 2"),
     (["estimate-mr", "--x", "1", "--r", "spin7", "--n-grid", "0"],
      "--x value x = 1 is below 2"),
+    (["basic-fn", "--q", "2", "--r", "detx", "--n", "2"],
+     "--r detx: unknown representation 'detx'"),
+    (["l-factor", "--q", "2", "--r", "spin7", "--check", "3"],
+     "--r spin7: unknown representation 'spin7'"),
+    (["orbital-zeta", "--q", "2", "--gamma", "1,0", "--r", "std*detx",
+      "--N", "8", "--fit", "1,1"], "--r std*detx: unknown representation 'std*detx'"),
+    (["estimate-mr", "--x", "100", "--r", "sym2*det1.5", "--n-grid", "50"],
+     "--r sym2*det1.5: unknown representation 'sym2*det1.5'"),
 ]
 
 
