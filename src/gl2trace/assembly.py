@@ -476,26 +476,38 @@ _CONFIG_KEYS = ("places", "vol_gbar", "vol_k", "f_pos", "f_neg",
                 "phi_pos", "phi_neg")
 
 
+def read_config(text, config_key):
+    """`key = value` lines, less blanks and # comments, as a dict in file
+    order.  config_key(key) names a stripped key, or raises ValueError if
+    the key is unknown; a line without '=' or a repeated name raises too."""
+    values = {}
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        key, eq, val = ln.partition("=")
+        if not eq:
+            raise ValueError("bad config line: %r" % ln)
+        key = config_key(key.strip())
+        if key in values:
+            raise ValueError("duplicate config key: %r" % key)
+        values[key] = val.strip()
+    return values
+
+
+def _config_key(key):
+    if key in _CONFIG_KEYS or key.startswith("hecke_"):
+        return key
+    raise ValueError("unknown config key: %r" % key)
+
+
 def load_config(text, base_dir="."):
     """Line-based `key = value` configuration.  Keys: places (required,
     e.g. inf,2,3), vol_gbar, vol_k, f_pos/f_neg and phi_pos/phi_neg
     (profile piece lists), hecke_<p> (path to a Hecke element file,
     relative to base_dir).  Returns (GlobalTestFunction,
     NormalizationConstants)."""
-    values = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if "=" not in ln:
-            raise ValueError("bad config line: %r" % ln)
-        key, _, val = ln.partition("=")
-        key, val = key.strip(), val.strip()
-        if not (key in _CONFIG_KEYS or key.startswith("hecke_")):
-            raise ValueError("unknown config key: %r" % key)
-        if key in values:
-            raise ValueError("duplicate config key: %r" % key)
-        values[key] = val
+    values = read_config(text, _config_key)
     if "places" not in values:
         raise ValueError("config needs a places line")
     places = normalize_places(values.pop("places").split(","))

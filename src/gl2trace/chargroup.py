@@ -2,11 +2,13 @@
 
 Two layers.  The abstract layer: finite abelian groups as tuples of
 cyclic orders, characters valued in exact cyclotomics, Fourier sums,
-and the finite Poisson identity.  The arithmetic layer: the group
-D_S = prod over v in S of Q_v^x / squares, modulo the diagonal S-units
-H_S.  Its characters are the annihilator of H_S under the Hilbert
-pairing, one quadratic character of discriminant supported in S each,
-and they are tabulated by exact Hilbert symbols place by place.
+and the finite Poisson identity; there an element or a character is an
+exponent tuple, a group function is its list of values in elements()
+order, and a subgroup is a list of generators.  The arithmetic layer:
+the group D_S = prod over v in S of Q_v^x / squares, modulo the
+diagonal S-units H_S.  Its characters are the annihilator of H_S under
+the Hilbert pairing, one quadratic character of discriminant supported
+in S each, and they are tabulated by exact Hilbert symbols place by place.
 """
 
 import itertools
@@ -79,12 +81,6 @@ class CycloNumber:
     def rational(cls, L, c):
         deg = len(cyclotomic_poly(L)) - 1
         return cls(L, (Fraction(c),) + (Fraction(0),) * (deg - 1))
-
-    @classmethod
-    def zeta(cls, L, k=1):
-        buckets = [0] * L
-        buckets[k % L] = 1
-        return cls.from_buckets(L, buckets)
 
     def _coerce(self, other):
         if isinstance(other, CycloNumber):
@@ -220,6 +216,13 @@ class FiniteAbelianGroup:
     def elements(self):
         return itertools.product(*(range(n) for n in self.orders))
 
+    def index(self, g):
+        " the position of g in elements() order "
+        i = 0
+        for a, n in zip(g, self.orders):
+            i = i * n + a
+        return i
+
     def add(self, g1, g2):
         return tuple((a + b) % n for a, b, n in zip(g1, g2, self.orders))
 
@@ -240,87 +243,26 @@ class FiniteAbelianGroup:
         return "FiniteAbelianGroup%s" % (self.orders,)
 
 
-class GroupCharacter:
-    """Character determined by an exponent functional: the value on g is
-    zeta_L ^ (sum of a_i g_i L/n_i)."""
-
-    __slots__ = ("group", "exps")
-
-    def __init__(self, group, exps):
-        exps = tuple(exps)
-        if not group.contains(exps):
-            raise ValueError("character exponents %s are not an element of the group %s"
-                             % (exps, group.orders))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GroupCharacter is immutable")
-
-    def zeta_exponent(self, g):
-        L = self.group.exponent
-        return sum(a * x * (L // n)
-                   for a, x, n in zip(self.exps, g, self.group.orders)) % L
-
-    def __call__(self, g):
-        return CycloNumber.zeta(self.group.exponent, self.zeta_exponent(g))
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupCharacter)
-                and other.group == self.group and other.exps == self.exps)
-
-    def __hash__(self):
-        return hash((self.group, self.exps))
-
-    def __repr__(self):
-        return "GroupCharacter%s" % (self.exps,)
-
-
-class GroupFunction:
-    """Total map from group elements to exact values."""
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group, values):
-        if callable(values):
-            values = {g: values(g) for g in group.elements()}
-        try:
-            if len(values) < group.order:  # some element is missing
-                raise KeyError
-            vals = {g: values[g] for g in group.elements()}
-        except KeyError:
-            raise ValueError("function not total: missing %s"
-                             % (_first_missing(group.orders, values),)) from None
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GroupFunction is immutable")
-
-    def __call__(self, g):
-        return self.values[g]
-
-
 def _first_missing(orders, values):
-    """the first element, in elements() order, that values lacks: an
-    odometer walk that builds no axis, so it stops after at most
-    len(values) + 1 steps however large the group"""
+    """the first element, in elements() order, that values lacks, for
+    values short of the group order: an odometer walk that builds no axis,
+    so it stops within len(values) + 1 steps however large the group"""
     g = [0] * len(orders)
     while tuple(g) in values:
         i = len(g) - 1
-        while i >= 0 and g[i] == orders[i] - 1:
+        while g[i] == orders[i] - 1:
             g[i] = 0
             i -= 1
-        if i < 0:
-            return None
         g[i] += 1
     return tuple(g)
 
 
-def _integer_values(f):
+def _integer_values(group, f):
     """(D, values times D as ints, in element order), D the least common
     denominator of the values: one division per distinct denominator"""
-    vals = [_rational(v) for v in f.values.values()]
+    if len(f) != group.order:
+        raise ValueError("%d values for a group of order %d" % (len(f), group.order))
+    vals = [_rational(v) for v in f]
     dens = {v.denominator for v in vals}
     den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
@@ -346,14 +288,19 @@ def _add_character(buckets, ints, group, exps):
         buckets[e] += v
 
 
-def fourier(f, psi):
-    """F(psi) = sum over g of f(g) * conj(psi(g)), exact: the values,
-    scaled to integers, accumulate in zeta-exponent buckets, and one
-    integer reduction mod the cyclotomic polynomial follows."""
-    den, ints = _integer_values(f)
-    buckets = [0] * f.group.exponent
-    _add_character(buckets, ints, f.group, psi.exps)
-    return CycloNumber.from_buckets(f.group.exponent, buckets, Fraction(1, den))
+def fourier(group, f, exps):
+    """F(psi) = sum over g of f(g) * conj(psi(g)), exact, for f a list of
+    rational values in group.elements() order and psi the character with
+    exponent tuple exps, psi(g) = zeta_L^(sum of a_i g_i L/n_i).  The
+    values, scaled to integers, accumulate in zeta-exponent buckets, and
+    one integer reduction mod the cyclotomic polynomial follows."""
+    if not group.contains(exps):
+        raise ValueError("character exponents %s are not an element of the group %s"
+                         % (tuple(exps), group.orders))
+    den, ints = _integer_values(group, f)
+    buckets = [0] * group.exponent
+    _add_character(buckets, ints, group, exps)
+    return CycloNumber.from_buckets(group.exponent, buckets, Fraction(1, den))
 
 
 def subgroup_generated(group, gens):
@@ -375,63 +322,35 @@ def subgroup_generated(group, gens):
     return tuple(sorted(seen))
 
 
-def _as_subgroup(group, spec):
-    """explicit element collection, which must be an actual subgroup;
-    returns (its sorted elements, a generating list)"""
-    elems = {tuple(e) for e in spec}
-    if not elems:
-        return (group.identity(),), []
-    for e in elems:
-        if not group.contains(e):
-            raise ValueError("element %s outside the group" % (e,))
-    if group.identity() not in elems:
-        raise ValueError("subgroup must contain the identity")
-    # greedy generating set; each new generator g joins the span S as the
-    # cosets S + k*g, k below the order of g modulo S
-    gens = []
-    span = {group.identity()}
-    for e in sorted(elems):
-        if e not in span:
-            gens.append(e)
-            old, shift = set(span), e
-            while shift not in old:
-                span.update(group.add(x, shift) for x in old)
-                shift = group.add(shift, e)
-    if span != elems:
-        raise ValueError("subgroup spec is not closed")
-    return tuple(sorted(elems)), gens
-
-
 def annihilator(group, gens):
-    """characters trivial on the subgroup that gens generate: a character
-    is trivial there exactly when it is trivial on each generator, so any
-    list of the subgroup's elements serves as gens too"""
+    """exponent tuples of the characters trivial on the subgroup that gens
+    generate, in element order: a character is trivial there exactly
+    when it is trivial on each generator"""
     L = group.exponent
     weights = [L // n for n in group.orders]
     gens = [[w * x for w, x in zip(weights, h)] for h in gens]
-    return [GroupCharacter(group, a) for a in group.elements()
+    return [a for a in group.elements()
             if all(sum(x * y for x, y in zip(a, h)) % L == 0 for h in gens)]
 
 
-def poisson_check(group, subgroup_spec, f):
-    """Finite Poisson summation: returns the two sides
-    (sum of f over H, |H|/|G| times the sum of fourier(f) over the
-    annihilator of H); they agree as exact cyclotomic numbers.  Both
-    sides work on the values scaled to integers over one common
-    denominator D.  The sum over H adds the integer numerators of the
-    values on H and divides by D once.  Fourier is linear, so the
+def poisson_check(group, gens, f):
+    """Finite Poisson summation for f, a list of values in
+    group.elements() order, and H the subgroup that gens generate:
+    returns the two sides (sum of f over H, |H|/|G| times the sum of
+    fourier(f) over the annihilator of H); they agree as exact cyclotomic
+    numbers.  Both sides work on the values scaled to integers over one
+    common denominator D.  The sum over H adds the integer numerators of
+    the values on H and divides by D once.  Fourier is linear, so the
     buckets of every annihilator character go into one integer list,
     reduced and rescaled once."""
-    if not isinstance(f, GroupFunction):
-        f = GroupFunction(group, f)
-    H, gens = _as_subgroup(group, subgroup_spec)
+    H = subgroup_generated(group, gens)
     L = group.exponent
-    on_h = [_rational(f(h)) for h in H]   # a bad value on H is named first
-    den, ints = _integer_values(f)
+    on_h = [_rational(f[group.index(h)]) for h in H]   # a bad value on H is named first
+    den, ints = _integer_values(group, f)
     lhs = Fraction(sum(v.numerator * (den // v.denominator) for v in on_h), den)
     buckets = [0] * L
-    for psi in annihilator(group, gens):
-        _add_character(buckets, ints, group, psi.exps)
+    for exps in annihilator(group, gens):
+        _add_character(buckets, ints, group, exps)
     rhs = CycloNumber.from_buckets(L, buckets, Fraction(len(H), den * group.order))
     return CycloNumber.rational(L, lhs), rhs
 
@@ -542,10 +461,11 @@ def normalize_places(S):
     " canonical place list: 'inf' first, then primes ascending "
     out = []
     for v in S:
-        if v in (INF_PLACE, "oo", "real", 0):
-            out.append(INF_PLACE)
-        else:
-            out.append(int(v))
+        try:
+            out.append(INF_PLACE if v in (INF_PLACE, "oo", "real", 0) else int(v))
+        except ValueError:
+            raise ValueError("place %r is neither %s nor an integer"
+                             % (v, INF_PLACE)) from None
     out = sorted(set(out), key=_places_key)
     if not out or out[0] != INF_PLACE:
         raise ValueError("place set %s lacks the archimedean place %s"
@@ -748,11 +668,12 @@ def class_group_mod_squares(S):
 
 
 def parse_group_function(text):
-    """'group n1 n2 ...' header plus 'f e1,e2,... value' lines; a bad line
-    raises ValueError naming its line number.  One pass: each line is
-    split once, an element's coordinates are checked against the cyclic
-    orders (no element set is built), and each distinct value token is
-    read by Fraction(str) once per call."""
+    """(group, values in group.elements() order) from a 'group n1 n2 ...'
+    header plus 'f e1,e2,... value' lines.  ValueError names a bad line by
+    number, or else the first missing element, found with no walk over the
+    group.  One pass: each line is split once, an element's coordinates
+    are checked against the cyclic orders (no element set is built), and
+    each distinct value token is read by Fraction(str) once per call."""
     group = None
     values = {}
     read = {}   # value token -> its Fraction, for this call only
@@ -788,4 +709,7 @@ def parse_group_function(text):
             raise ValueError("line %d %r: %s" % (num, ln.strip(), e)) from None
     if group is None:
         raise ValueError("missing group line")
-    return group, GroupFunction(group, values)
+    if len(values) < group.order:   # checked before any walk over the group
+        raise ValueError("function not total: missing %s"
+                         % (_first_missing(group.orders, values),))
+    return group, [values[g] for g in group.elements()]

@@ -12,11 +12,12 @@ import sys
 from .assembly import (cartan_discrepancy, correction_term,
                        format_cartan_report, format_correction_report,
                        intertwining_constant, load_config, numeric_verify,
-                       one_dim_geometric, one_dim_spectral, residual_breakdown,
-                       residual_geometric, residual_spectral)
+                       one_dim_geometric, one_dim_spectral, read_config,
+                       residual_breakdown, residual_geometric,
+                       residual_spectral)
 from .basicfn import RepSpec, basic_coeff, local_l_factor, trace_series
 from .chargroup import (class_group_mod_squares, parse_group_function,
-                        poisson_check, subgroup_generated)
+                        poisson_check)
 from .hecke import (HeckeElement, LocalField, SatakeParameter, convolve,
                     satake_transform)
 from .kernels import BACKEND
@@ -61,11 +62,19 @@ def _load_hecke(path, q):
     return h
 
 
+def _ints(text, flag, want):
+    " comma-separated integers; a bad token names the flag and the text "
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise _Usage("%s wants %s, got %r" % (flag, want, text)) from None
+
+
 def _int_pair(text, flag):
-    bits = text.split(",")
-    if len(bits) != 2:
+    pair = _ints(text, flag, "two comma-separated integers")
+    if len(pair) != 2:
         raise _Usage("%s wants two comma-separated integers" % flag)
-    return int(bits[0]), int(bits[1])
+    return pair
 
 
 def _r_flag(text, parse=RepSpec.parse):
@@ -203,19 +212,15 @@ def _cmd_phi_check(args):
 
 
 def _cmd_poisson(args):
+    gens = [_ints(g, "--subgroup", "';'-separated e1,e2,... generators")
+            for g in args.subgroup.split(";")] if args.subgroup else []
+    orders = args.group and _ints(args.group, "--group",
+                                  "comma-separated cyclic orders")
     group, f = parse_group_function(_read(args.f))
-    if args.group:
-        orders = tuple(int(x) for x in args.group.split(","))
-        if orders != group.orders:
-            raise _Usage("--group %s does not match the file's group %s"
-                         % (orders, group.orders))
-    if args.subgroup:
-        gens = [tuple(int(x) for x in g.split(","))
-                for g in args.subgroup.split(";")]
-        H = subgroup_generated(group, gens)
-    else:
-        H = [group.identity()]
-    lhs, rhs = poisson_check(group, H, f)
+    if orders and orders != group.orders:
+        raise _Usage("--group %s does not match the file's group %s"
+                     % (orders, group.orders))
+    lhs, rhs = poisson_check(group, gens, f)
     print("sum over H\t%s" % lhs)
     print("dual side\t%s" % rhs)
     if lhs != rhs:
@@ -423,21 +428,18 @@ def _build_parser(argv):
 
 
 def _apply_config(args):
-    " fill unset flags from a `key = value` file; unknown keys rejected "
+    " fill unset flags from a `key = value` file; unknown and repeated keys rejected "
     path = getattr(args, "config", None)
     if not path or args.cmd in ("assemble", "cartan-report"):
         return  # those two consume --config themselves
     known = vars(args)
-    for ln in _read(path).splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        key, eq, val = ln.partition("=")
-        if not eq:
-            raise _Usage("bad config line: %r" % ln)
-        key, val = key.strip().replace("-", "_"), val.strip()
+
+    def config_key(key):
+        key = key.replace("-", "_")
         if key in ("cmd", "config") or key not in known:
             raise _Usage("unknown config key: %r" % key)
+        return key
+    for key, val in read_config(_read(path), config_key).items():
         cur = known[key]
         if cur is None:
             setattr(args, key, val)

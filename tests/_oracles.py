@@ -1,22 +1,38 @@
 """Code that only tests use: earlier implementations kept as oracles for
 the kernels that replaced them, samplers, the character and S-class
 group evaluations that no subcommand calls, and the Eichler-Selberg
-trace formula as a second path to tau."""
+trace formula as a second path to tau.  As in gl2trace.chargroup, a
+character is its exponent tuple, a group function is the list of its
+values in group.elements() order, and a subgroup is given by a list of
+generators."""
 
 import math
 from fractions import Fraction
 
-from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, GroupCharacter,
-                                GroupFunction, _add_character, _cyclo_reduce,
-                                annihilator, subgroup_generated)
+from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
+                                _cyclo_reduce, annihilator, subgroup_generated)
 
 
 # -- characters and cyclotomics ---------------------------------------------
 
 
-def characters(group):
-    " all characters, in deterministic element order "
-    return [GroupCharacter(group, e) for e in group.elements()]
+def zeta(L, k=1):
+    " zeta_L^k "
+    buckets = [0] * L
+    buckets[k % L] = 1
+    return CycloNumber.from_buckets(L, buckets)
+
+
+def zeta_exponent(group, exps, g):
+    """e with psi(g) = zeta_L^e, L the group exponent, for the character
+    psi with exponents exps: e = sum of a_i g_i L/n_i mod L"""
+    L = group.exponent
+    return sum(a * x * (L // n) for a, x, n in zip(exps, g, group.orders)) % L
+
+
+def character_value(group, exps, g):
+    " psi(g) for the character psi with exponents exps "
+    return zeta(group.exponent, zeta_exponent(group, exps, g))
 
 
 def conj(z):
@@ -69,30 +85,7 @@ def parse_group_function_oracle(text):
     for g in group.elements():
         if g not in values:
             raise ValueError("function not total: missing %s" % (g,))
-    return group, GroupFunction(group, values)
-
-
-def closure_subgroup(group, spec):
-    """The subgroup reader as it was before the incremental span: the
-    closure of all greedy generators is recomputed from scratch after
-    each new one.  Returns (sorted elements, generators)."""
-    elems = {tuple(e) for e in spec}
-    if not elems:
-        return (group.identity(),), []
-    for e in elems:
-        if not group.contains(e):
-            raise ValueError("element %s outside the group" % (e,))
-    if group.identity() not in elems:
-        raise ValueError("subgroup must contain the identity")
-    gens = []
-    span = {group.identity()}
-    for e in sorted(elems):
-        if e not in span:
-            gens.append(e)
-            span = set(subgroup_generated(group, gens))
-    if span != elems:
-        raise ValueError("subgroup spec is not closed")
-    return tuple(sorted(elems)), gens
+    return group, [values[g] for g in group.elements()]
 
 
 def _to_fraction(v):
@@ -101,29 +94,29 @@ def _to_fraction(v):
     raise TypeError("fourier needs rational function values, got %r" % (v,))
 
 
-def fraction_poisson_check(group, subgroup_spec, f):
-    """poisson_check as it was before the integer H-sum: the sum over H
-    is |H| Fraction additions, every value is rebuilt as a Fraction, and
-    the dual side divides once per value."""
-    if not isinstance(f, GroupFunction):
-        f = GroupFunction(group, f)
-    H, gens = closure_subgroup(group, subgroup_spec)
+def fraction_poisson_check(group, gens, f):
+    """poisson_check as it was before the integer H-sum, for the subgroup H
+    that gens generate: the sum over H is |H| Fraction additions, every
+    value is rebuilt as a Fraction, and the dual side divides once per
+    value."""
+    H = subgroup_generated(group, gens)
+    value = dict(zip(group.elements(), f))
     L = group.exponent
     lhs = Fraction(0)
     for h in H:
-        lhs += _to_fraction(f(h))
-    vals = [_to_fraction(v) for v in f.values.values()]
+        lhs += _to_fraction(value[h])
+    vals = [_to_fraction(v) for v in f]
     den = math.lcm(*(v.denominator for v in vals))
     ints = [v.numerator * (den // v.denominator) for v in vals]
     buckets = [0] * L
-    for psi in annihilator(group, gens):
-        _add_character(buckets, ints, group, psi.exps)
+    for exps in annihilator(group, gens):
+        _add_character(buckets, ints, group, exps)
     rhs = CycloNumber.from_buckets(L, buckets, Fraction(len(H), den * group.order))
     return CycloNumber.rational(L, lhs), rhs
 
 
 def sample_poisson_triple(rng, max_order=1024, max_work=1 << 16):
-    """Random (group, subgroup generators, rational function) with
+    """Random (group, subgroup generators, list of rational values) with
     |G| <= max_order and the Fourier workload |G|^2/|H| capped; biased
     toward small cyclic orders so exponents stay tame."""
     while True:
@@ -139,15 +132,15 @@ def sample_poisson_triple(rng, max_order=1024, max_work=1 << 16):
         h = subgroup_generated(g, gens)
         if g.order * g.order // len(h) > max_work:
             continue
-        f = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for e in g.elements()}
-        return g, h, f
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in g.elements()]
+        return g, gens, f
 
 
-def format_group_function(f):
+def format_group_function(group, f):
     " the text that parse_group_function reads back "
-    lines = ["group " + " ".join(str(n) for n in f.group.orders)]
-    for g in f.group.elements():
-        lines.append("f %s %s" % (",".join(str(x) for x in g), f(g)))
+    lines = ["group " + " ".join(str(n) for n in group.orders)]
+    for g, v in zip(group.elements(), f):
+        lines.append("f %s %s" % (",".join(str(x) for x in g), v))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import gl2trace
 from gl2trace import cli
-from gl2trace.chargroup import FiniteAbelianGroup, GroupFunction
+from gl2trace.chargroup import FiniteAbelianGroup
 from gl2trace.cli import run
 from gl2trace.hecke import HeckeElement, LocalField
 
@@ -111,17 +111,27 @@ def test_phi_check(capsys):
     assert "measured H-exponent(s): ['1/2']" in capsys.readouterr().out
 
 
+def thirds(i):
+    return Fraction(i - 1, 3)
+
+
+def mixed(i):
+    return Fraction((7 * i) % 11 - 5, 1 + i % 4)
+
+
 def test_poisson(tmp_path, capsys):
-    g = FiniteAbelianGroup((2, 2))
-    f = GroupFunction(g, {e: Fraction(i - 1, 3)
-                          for i, e in enumerate(g.elements())})
-    path = tmp_path / "f.txt"
-    path.write_text(format_group_function(f))
-    assert run(["poisson", "--group", "2,2", "--f", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "sum over H\t-1/3" in out and "dual side\t-1/3" in out
-    assert run(["poisson", "--f", str(path), "--subgroup", "1,0"]) == 0
-    assert run(["poisson", "--group", "2,4", "--f", str(path)]) == 2
+    """exact stdout with no --subgroup, with one generator, and with three
+    on a non-cyclic group; value(i) is the value at the i-th element"""
+    for orders, value, flags, lhs in [
+            ((2, 2), thirds, ["--group", "2,2"], "-1/3"),
+            ((2, 2), thirds, ["--subgroup", "1,0"], "0"),
+            ((2, 4, 3), mixed, ["--subgroup", "1,2,0;0,2,1;1,1,1"], "-53/12")]:
+        g = FiniteAbelianGroup(orders)
+        path = tmp_path / "f.txt"
+        path.write_text(format_group_function(g, [value(i) for i in range(g.order)]))
+        assert run(["poisson", "--f", str(path)] + flags) == 0
+        assert capsys.readouterr().out == "sum over H\t%s\ndual side\t%s\n" % (lhs, lhs)
+        assert run(["poisson", "--group", "2,4", "--f", str(path)]) == 2
 
 
 def test_class_group(capsys):
@@ -322,6 +332,16 @@ BAD_VALUES = [
       "--N", "8", "--fit", "1,1"], "--r std*detx: unknown representation 'std*detx'"),
     (["estimate-mr", "--x", "100", "--r", "sym2*det1.5", "--n-grid", "50"],
      "--r sym2*det1.5: unknown representation 'sym2*det1.5'"),
+    (["poisson", "--group", "4,x", "--f", "unread.fn"],
+     "--group wants comma-separated cyclic orders, got '4,x'"),
+    (["poisson", "--f", "unread.fn", "--subgroup", "1,a"],
+     "--subgroup wants ';'-separated e1,e2,... generators, got '1,a'"),
+    (["poisson", "--f", "unread.fn", "--subgroup", "1,0;2,a;1,1"],
+     "--subgroup wants ';'-separated e1,e2,... generators, got '2,a'"),
+    (["class-group", "--places", "inf,x"], "place 'x' is neither inf nor an integer"),
+    (["orbital-zeta", "--q", "2", "--gamma", "1,x", "--r", "std",
+      "--N", "8", "--fit", "1,1"],
+     "--gamma wants two comma-separated integers, got '1,x'"),
 ]
 
 
@@ -360,7 +380,9 @@ def bad_file_values(tmp_path):
             ("places = inf,2,3\nhecke_3 = bad0.hecke\n", "line 2 '1 0 1/0'"),
             ("places = inf,2\nf_pos = -2:2:1/0\n", "piece '-2:2:1/0'"),
             ("places = inf,2\nvol_k = 1/0\n", "vol_k = 1/0 has a denominator 0"),
-            ("places = inf,2\nvol_gbar = 3/0\n", "vol_gbar = 3/0 has a denominator 0")]):
+            ("places = inf,2\nvol_gbar = 3/0\n", "vol_gbar = 3/0 has a denominator 0"),
+            ("places = inf,x\n", "place 'x' is neither inf nor an integer"),
+            ("places = inf,2\nvol_k = 2\nvol_k = 3\n", "duplicate config key: 'vol_k'")]):
         path = tmp_path / ("bad%d.cfg" % i)
         path.write_text(text)
         for cmd in ("assemble", "cartan-report"):
@@ -428,6 +450,19 @@ def test_config_defaults(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("x = 30\nbogus = 1\n")
     assert run(["tau", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["tau"], "x = 30\nx = 10\n", "'x'"),
+    (["estimate-mr", "--x", "300"], "n-grid = 100\n# again\nn_grid = 200\n", "'n_grid'"),
+    (["assemble"], "places = inf,2\nplaces = inf,3\n", "'places'"),
+])
+def test_config_duplicate_key(argv, text, key, tmp_path, capsys):
+    " a key given twice is an error for every subcommand, not its first value "
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate config key: %s\n" % key)
 
 
 @pytest.mark.parametrize("argv, line, value", [
@@ -535,21 +570,41 @@ def test_usage_errors(capsys):
     assert run(["orbital", "--q", "4", "--gamma", "1,0", "--in", "x"]) == 2
 
 
-def test_perfbench_trace_names_resolve():
-    " every module attribute the benchmark's tracer wraps or counts exists "
+def test_perfbench_trace_names_resolve(tmp_path, capsys):
+    """the benchmark's Tracer and OpCounter install over every name in
+    SPANS, COUNTS and RING_CLASSES, see a poisson run, and put every
+    binding back when uninstalled"""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "trace.py")
     spec = importlib.util.spec_from_file_location("perfbench_trace", path)
     trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace)
-    names = ([(mod, attr) for mod, attr, _ in trace.SPANS] + trace.COUNTS
-             + trace.RING_CLASSES)
-    for mod, attr in names:
-        owner = importlib.import_module("gl2trace." + mod)
-        for bit in attr.split("."):
-            assert hasattr(owner, bit), "gl2trace.%s has no %s" % (mod, attr)
-            owner = getattr(owner, bit)
     for mod, cls in trace.RING_CLASSES:
         assert isinstance(getattr(importlib.import_module("gl2trace." + mod), cls), type)
+    # the namespaces the two rebind: the modules, and classes for methods
+    owners = [m for n, m in sys.modules.items() if n.startswith("gl2trace.")]
+    owners += [c for m in owners for c in vars(m).values()
+               if isinstance(c, type) and c.__module__.startswith("gl2trace.")]
+    before = [dict(vars(o)) for o in owners]
+    fn = tmp_path / "f.txt"
+    fn.write_text("group 2 3\n" + "".join("f %d,%d %d\n" % (a, b, a + b)
+                                          for a in range(2) for b in range(3)))
+    tracer, counter = trace.Tracer(), trace.OpCounter()
+    tracer.install()
+    try:
+        counter.install()
+        try:
+            assert tracer.job_span(0, "poisson", run, ["poisson", "--f", str(fn),
+                                                       "--subgroup", "1,0"]) == 0
+        finally:
+            counter.uninstall()
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "sum over H\t1\ndual side\t1\n"
+    spans = {tracer.names[i] for i in tracer.name}
+    assert {"cli.poisson", "chargroup.poisson_check", "chargroup.parse_group_function",
+            "chargroup.subgroup_generated", "chargroup.annihilator"} <= spans
+    assert counter.counts["chargroup.FiniteAbelianGroup.exponent.calls"] > 0
+    assert [dict(vars(o)) for o in owners] == before
     # perfbench/run.py prints the backend in its header line
     assert isinstance(importlib.import_module("gl2trace.kernels").BACKEND, str)
