@@ -38,10 +38,6 @@ class RepSpec:
     def __setattr__(self, *_):
         raise AttributeError("RepSpec is immutable")
 
-    @property
-    def dim(self):
-        return self.k + 1
-
     @classmethod
     def parse(cls, name):
         s = name.strip().lower().replace(" ", "")

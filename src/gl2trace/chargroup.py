@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from operator import contains
 
+from .rings import valuation
+
 INF_PLACE = "inf"
 
 
@@ -99,18 +101,6 @@ class CycloNumber:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycloNumber(self.L, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -130,14 +120,6 @@ class CycloNumber:
     @property
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
-
-    def as_fraction(self):
-        if not self.is_rational:
-            raise ValueError("value %r is irrational" % (self,))
-        return self.coeffs[0]
-
-    def __bool__(self):
-        return any(self.coeffs)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -225,9 +207,6 @@ class FiniteAbelianGroup:
 
     def add(self, g1, g2):
         return tuple((a + b) % n for a, b, n in zip(g1, g2, self.orders))
-
-    def neg(self, g):
-        return tuple((-a) % n for a, n in zip(g, self.orders))
 
     def contains(self, g):
         return (len(g) == len(self.orders)
@@ -400,14 +379,6 @@ def kronecker(a, n):
     # not reached
 
 
-def _split_val(x, p):
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, x
-
-
 def _square_class_int(x):
     " numerator * denominator of a nonzero rational x: in its square class "
     if not isinstance(x, (int, Fraction)):
@@ -426,8 +397,8 @@ def hilbert_symbol(a, b, place):
     if place == INF_PLACE:
         return -1 if ai < 0 and bi < 0 else 1
     p = place
-    alpha, u = _split_val(ai, p)     # u keeps the sign of a
-    beta, w = _split_val(bi, p)
+    alpha, u = valuation(ai, p)     # u keeps the sign of a
+    beta, w = valuation(bi, p)
     if p == 2:
         eps_u = ((u - 1) // 2) % 2
         eps_w = ((w - 1) // 2) % 2
@@ -488,7 +459,7 @@ def local_square_class(t, place):
     if place == INF_PLACE:
         return (1 if n < 0 else 0,)
     p = place
-    val, u = _split_val(n, p)
+    val, u = valuation(n, p)
     if p == 2:
         b1, b2 = _unit_bits_2(u)
         return (val % 2, b1, b2)
@@ -557,8 +528,7 @@ class SClassGroup:
         t = Fraction(t)
         n = abs(t.numerator * t.denominator)
         for p in self.places[1:]:
-            while n and n % p == 0:
-                n //= p
+            n = valuation(n, p)[1]
         if n != 1:
             raise ValueError("%s is not an S-unit for S = %s" % (t, self.places))
         return tuple(b for v in self.places for b in local_square_class(t, v))
@@ -613,9 +583,8 @@ class SClassGroup:
 
 class QuadChar:
     """Quadratic character of fundamental discriminant d, living on the
-    S-class group; evaluation on rationals by Kronecker symbol.  A
-    character of sgroup.quad_chars also keeps its table: the F2 exponent
-    of its Hilbert pairing with each ambient bit."""
+    S-class group.  A character of sgroup.quad_chars also keeps its
+    table: the F2 exponent of its Hilbert pairing with each ambient bit."""
 
     __slots__ = ("d", "c", "sgroup", "table")
 
@@ -627,9 +596,6 @@ class QuadChar:
 
     def __setattr__(self, *_):
         raise AttributeError("QuadChar is immutable")
-
-    def __call__(self, t):
-        return quad_char_eval(self, t)
 
     def sign_value(self):
         " value on the archimedean sign class (-1 at infinity) "
@@ -648,15 +614,6 @@ class QuadChar:
 
     def __repr__(self):
         return "QuadChar(d=%d)" % self.d
-
-
-def quad_char_eval(chi, t):
-    " Kronecker symbol (d/t) extended multiplicatively to rationals "
-    d = chi.d if isinstance(chi, QuadChar) else int(chi)
-    t = Fraction(t)
-    if not t:
-        raise ValueError("character value at t = 0: t must be nonzero")
-    return kronecker(d, t.numerator) * kronecker(d, t.denominator)
 
 
 def class_group_mod_squares(S):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verified identity failed (the first
 counterexample is printed), 2 usage or input errors.  All output is
-exact (`num/den`, `v^k`) unless --float asks for decimals.
+exact (`num/den`, `v^k`) unless --float, which orbital and assemble
+take, asks for decimals.
 """
 
 import argparse
@@ -150,7 +151,7 @@ def _cmd_l_factor(args):
 def _cmd_orbital(args):
     h = _load_hecke(args.infile, args.q)
     m1, m2 = _int_pair(args.gamma, "--gamma")
-    gamma = SplitClass.from_data(LocalField(args.q), m1, m2, args.d)
+    gamma = SplitClass(LocalField(args.q), m1, m2, args.d)
     val = split_orbital(h, gamma)
     if args.depth is not None:   # before any output: a bad depth exits 2
         oracle = tree_orbital_oracle(h, gamma, args.depth)
@@ -166,7 +167,7 @@ def _cmd_orbital(args):
 def _cmd_orbital_zeta(args):
     rep = _r_flag(args.r)
     m1, m2 = _int_pair(args.gamma, "--gamma")
-    gamma = SplitClass.from_data(LocalField(args.q), m1, m2, args.d)
+    gamma = SplitClass(LocalField(args.q), m1, m2, args.d)
     if args.order < 0:
         raise _Usage("--N %d is negative: a series order is >= 0" % args.order)
     series = orbital_zeta(gamma, rep, args.order)
@@ -196,7 +197,7 @@ def _cmd_phi_check(args):
     exponents = set()
     for h in hs:
         for m in range(1, args.dmax + 1):
-            a = SplitClass.from_data(field, m, 0)
+            a = SplitClass(field, m, 0)
             want = LaurentQ.v_power(a.m2 - a.m1, args.q) * split_orbital(h, a)
             got = phi_transform(h, a)
             if got != want:
@@ -354,6 +355,8 @@ def _cmd_estimate_mr(args):
 
 _Q = {"type": int, "required": True}
 _IN = {"dest": "infile", "help": "Hecke element file"}
+_FLOAT = {"dest": "as_float", "action": "store_true",
+          "help": "decimal output instead of exact"}
 _CONFIG = {"config": {"required": True}, "base_dir": {"default": "."}}
 
 # name -> (handler, {flag: add_argument keywords}), in usage order.
@@ -373,7 +376,7 @@ COMMANDS = {
                                  "check": {"type": int}}),
     "orbital": (_cmd_orbital, {"q": _Q, "gamma": {"required": True},
                                "d": {"type": int}, "depth": {"type": int},
-                               "in": dict(_IN, required=True)}),
+                               "in": dict(_IN, required=True), "float": _FLOAT}),
     "orbital-zeta": (_cmd_orbital_zeta, {
         "q": _Q, "r": {"required": True}, "gamma": {"required": True},
         "d": {"type": int},
@@ -386,7 +389,7 @@ COMMANDS = {
                                      "help": "group function file"},
                                "subgroup": {"help": "generators e1,e2;e1,e2"}}),
     "class-group": (_cmd_class_group, {"places": {"required": True}}),
-    "assemble": (_cmd_assemble, _CONFIG),
+    "assemble": (_cmd_assemble, dict(_CONFIG, float=_FLOAT)),
     "cartan-report": (_cmd_cartan_report, {"out": {}, **_CONFIG}),
     "intertwine": (_cmd_intertwine, {"s_grid": {"default": "1e-2,1e-3,1e-4"},
                                      "tol": {"type": float, "default": 1e-3}}),
@@ -422,23 +425,23 @@ def _build_parser(argv):
             p.add_argument("--" + flag.replace("_", "-"), **kw)
         if "config" not in flags:
             p.add_argument("--config", help="key = value defaults for flags")
-        p.add_argument("--float", dest="as_float", action="store_true",
-                       help="decimal output instead of exact")
     return top
 
 
-def _apply_config(args):
-    " fill unset flags from a `key = value` file; unknown and repeated keys rejected "
+def _apply_config(args, flags):
+    """fill unset flags from a `key = value` file, keyed by flag name ('-'
+    and '_' alike); unknown and repeated keys rejected"""
     path = getattr(args, "config", None)
     if not path or args.cmd in ("assemble", "cartan-report"):
         return  # those two consume --config themselves
-    known = vars(args)
+    dests = {flag: spec.get("dest", flag) for flag, spec in flags.items()}
 
     def config_key(key):
         key = key.replace("-", "_")
-        if key in ("cmd", "config") or key not in known:
+        if key not in dests:
             raise _Usage("unknown config key: %r" % key)
-        return key
+        return dests[key]
+    known = vars(args)
     for key, val in read_config(_read(path), config_key).items():
         cur = known[key]
         if cur is None:
@@ -456,7 +459,7 @@ def run(argv=None):
     handler, flags = COMMANDS[args.cmd]
     dests = [(spec.get("dest", flag), flag, spec) for flag, spec in flags.items()]
     try:
-        _apply_config(args)
+        _apply_config(args, flags)
         for dest, flag, spec in dests:
             value = getattr(args, dest)
             if "type" in spec and isinstance(value, str):
@@ -465,7 +468,7 @@ def run(argv=None):
                     setattr(args, dest, spec["type"](value))
                 except ValueError as e:
                     raise _Usage("--config value %s = %s for --%s: %s"
-                                 % (dest, value, flag.replace("_", "-"), e)) from None
+                                 % (flag, value, flag.replace("_", "-"), e)) from None
             elif value is None and "default" in spec:
                 setattr(args, dest, spec["default"])
         for dest, _, spec in dests:

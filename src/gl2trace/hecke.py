@@ -34,12 +34,6 @@ class LocalField:
             raise ValueError("residue cardinality q = %r is not an integer >= 2" % (q,))
         self.q = q
 
-    def v(self, k=1):
-        return LaurentQ.v_power(k, self.q)
-
-    def one(self):
-        return LaurentQ(1, 0, self.q)
-
     def __eq__(self, other):
         return isinstance(other, LocalField) and other.q == self.q
 
@@ -59,38 +53,8 @@ def _check_key(key):
     return a, b
 
 
-def coset_decomposition(field, key):
-    """Canonical upper-triangular representatives x with
-    K.diag(p^a, p^b).K = disjoint union of x.K.
-
-    Representatives are [[p^i, u], [0, p^j]] with i + j = a + b,
-    u running over residues mod p^i whose valuation keeps the
-    elementary-divisor type equal to (a, b); entries are Fractions
-    when b < 0.
-    """
-    a, b = _check_key(key)
-    q = field.q
-    m = a - b
-    scale = Fraction(q) ** b
-    reps = []
-    if m == 0:
-        return [((scale, Fraction(0)), (Fraction(0), scale))]
-    for i in range(m + 1):
-        j = m - i
-        if i == 0:
-            us = [0]
-        elif i < m:
-            us = [u for u in range(1, q ** i) if u % q != 0]
-        else:
-            us = list(range(q ** m))
-        pi, pj = Fraction(q) ** i, Fraction(q) ** j
-        for u in us:
-            reps.append(((pi * scale, u * scale), (Fraction(0), pj * scale)))
-    return reps
-
-
 def coset_degree(field, key):
-    " number of right cosets in the double coset; equals len(coset_decomposition) "
+    " number of right cosets x.K in the double coset K.diag(p^a, p^b).K "
     a, b = _check_key(key)
     m = a - b
     if m == 0:
@@ -148,9 +112,6 @@ class HeckeElement:
     def __getitem__(self, key):
         return self.coeffs.get(_check_key(key), LaurentQ(0, 0, self.field.q))
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, HeckeElement)
                 and other.field == self.field
@@ -171,21 +132,12 @@ class HeckeElement:
             out[k] = out.get(k, LaurentQ(0, 0, self.field.q)) + c
         return HeckeElement(self.field, out)
 
-    def __neg__(self):
-        return HeckeElement(self.field, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         return HeckeElement(self.field, {k: v * c for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             return convolve(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def __str__(self):
@@ -358,19 +310,6 @@ class SymLaurent:
                 clean[(i, j)] = c
         self.coeffs = clean
         self.q = q
-
-    @classmethod
-    def one(cls, q=None):
-        return cls({(0, 0): 1}, q)
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def __getitem__(self, key):
-        i, j = key
-        if i < j:
-            i, j = j, i
-        return self.coeffs.get((i, j), LaurentQ(0, 0, self.q))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -604,19 +543,14 @@ class SatakeParameter:
         self.beta = beta
 
     @classmethod
-    def from_triple(cls, m, n, conj_pair=True):
+    def from_triple(cls, m, n):
         " unit-circle parameter from the Pythagorean triple generated by (m, n) "
         if not m > n > 0:
             raise ValueError("a Pythagorean triple wants m > n > 0, got "
                              "m = %s, n = %s" % (m, n))
         c = m * m + n * n
         alpha = QiNumber(Fraction(m * m - n * n, c), Fraction(2 * m * n, c))
-        beta = alpha.conj() if conj_pair else alpha
-        return cls(alpha, beta)
-
-    @classmethod
-    def trivial(cls):
-        return cls(QiNumber(1), QiNumber(1))
+        return cls(alpha, alpha.conj())
 
     def __repr__(self):
         return "SatakeParameter(%s, %s)" % (self.alpha, self.beta)

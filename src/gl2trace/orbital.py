@@ -1,14 +1,17 @@
 """Unweighted orbital integrals at split classes, the Phi transform,
 orbital zeta series, and exact rational reconstruction.
 
-The normalized orbital integral of a spherical h at a regular split
-gamma = diag(t1, t2) collapses, after Iwasawa reduction, to
+A regular split class gamma = diag(t1, t2) enters every integral here
+only through its valuation triple: m1 = v(t1), m2 = v(t2) and
+d = v(t1 - t2).  The normalized orbital integral of a spherical h
+collapses, after Iwasawa reduction, to
 
     f_G(gamma) = delta^(1/2)(gamma) * integral over N of h(gamma n) dn,
 
 which the unipotent-integral casework evaluates exactly; the tree
-oracle recomputes it by brute-force summation over explicit matrices
-so the two paths stay independent.
+oracle recomputes it by brute-force summation over explicit matrices,
+whose entries it builds from the triple, so the two paths stay
+independent.
 """
 
 import warnings
@@ -17,60 +20,18 @@ from fractions import Fraction
 from .basicfn import RationalFn, basic_coeff
 from .chargroup import is_prime
 from .hecke import n_integral
-from .rings import LaurentQ
-
-_INF = 10 ** 9
-
-
-def _vint(n, p):
-    " p-adic valuation of an integer; _INF for 0 "
-    if n == 0:
-        return _INF
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _valp(x, p):
-    x = Fraction(x)
-    if x == 0:
-        return _INF
-    return _vint(x.numerator, p) - _vint(x.denominator, p)
+from .rings import LaurentQ, valuation
 
 
 class SplitClass:
-    """Split torus class diag(t1, t2), described by the valuations m1, m2
-    and the valuation d of t1 - t2 (the only data the integrals see).
+    """Regular split torus class, described by the valuations m1, m2 of
+    its entries and the valuation d of their difference (the only data
+    the integrals see).  d defaults to the least value the class
+    realizes: min(m1, m2), or m1 + 1 for m1 = m2 at q = 2."""
 
-    Explicit rational t1, t2 are kept when available; they are required
-    by the brute-force tree oracle and need a prime residue cardinality
-    to make rational valuations meaningful."""
+    __slots__ = ("field", "m1", "m2", "d")
 
-    __slots__ = ("field", "m1", "m2", "d", "t1", "t2")
-
-    def __init__(self, field, t1, t2):
-        if not is_prime(field.q):
-            raise ValueError("rational class data needs a prime residue "
-                             "cardinality, got q = %d" % field.q)
-        t1, t2 = Fraction(t1), Fraction(t2)
-        if not t1 or not t2:
-            raise ValueError("split class diag(%s, %s) needs nonzero "
-                             "entries" % (t1, t2))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
-        object.__setattr__(self, "m1", _valp(t1, field.q))
-        object.__setattr__(self, "m2", _valp(t2, field.q))
-        object.__setattr__(self, "d", _valp(t1 - t2, field.q))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SplitClass is immutable")
-
-    @classmethod
-    def from_data(cls, field, m1, m2, d=None):
-        " build from (m1, m2, d); d defaults to the minimal realizable value "
+    def __init__(self, field, m1, m2, d=None):
         q = field.q
         if m1 != m2:
             want = min(m1, m2)
@@ -82,45 +43,15 @@ class SplitClass:
             least = m1 + (1 if q == 2 else 0)
             if d is None:
                 d = least
-            if d == _INF or d is _INF:
-                return cls.singular(field, m1)
             if d < least:
                 raise ValueError("d = %s not realizable at q = %s" % (d, q))
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "m1", m1)
-        object.__setattr__(obj, "m2", m2)
-        object.__setattr__(obj, "d", d)
-        if is_prime(q):
-            t1 = Fraction(q) ** m1
-            if m1 != m2:
-                t2 = Fraction(q) ** m2
-            elif d == m1:
-                t2 = -t1 if q != 2 else None
-            else:
-                t2 = t1 * (1 - Fraction(q) ** (d - m1))
-        else:
-            t1 = t2 = None
-        object.__setattr__(obj, "t1", t1)
-        object.__setattr__(obj, "t2", t2)
-        return obj
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "d", d)
 
-    @classmethod
-    def singular(cls, field, m=0):
-        " the central class diag(p^m, p^m) "
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "m1", m)
-        object.__setattr__(obj, "m2", m)
-        object.__setattr__(obj, "d", _INF)
-        t = Fraction(field.q) ** m if is_prime(field.q) else None
-        object.__setattr__(obj, "t1", t)
-        object.__setattr__(obj, "t2", t)
-        return obj
-
-    @property
-    def regular(self):
-        return self.d < _INF
+    def __setattr__(self, *_):
+        raise AttributeError("SplitClass is immutable")
 
     def h_value(self):
         " H(gamma) = |t1/t2| as an exact rational "
@@ -128,12 +59,9 @@ class SplitClass:
 
     def disc_half(self):
         " |D(gamma)|^(1/2) in LaurentQ "
-        assert self.regular
         return LaurentQ.v_power(self.m1 + self.m2 - 2 * self.d, self.field.q)
 
     def __repr__(self):
-        if not self.regular:
-            return "SplitClass(singular, m=%d, q=%d)" % (self.m1, self.field.q)
         return "SplitClass(m1=%d, m2=%d, d=%d, q=%d)" % (self.m1, self.m2, self.d, self.field.q)
 
 
@@ -144,12 +72,23 @@ def split_orbital(h, gamma):
     discriminant factor cancels against the measure of the tree."""
     if not isinstance(gamma, SplitClass):
         raise TypeError("need a SplitClass")
-    if not gamma.regular:
-        raise ValueError("orbital integral undefined at a singular class")
     if h.field != gamma.field:
         raise ValueError("mismatched base fields")
     q = h.field.q
     return LaurentQ.v_power(gamma.m2 - gamma.m1, q) * n_integral(h, gamma.m1, gamma.m2)
+
+
+def _entries(gamma):
+    """rational t1, t2 with valuations m1, m2 and v(t1 - t2) = d: powers
+    of q, and for m1 = m2 the entries q^m1 and -q^m1 (d = m1, q odd) or
+    q^m1 (1 - q^(d - m1)) (d > m1)"""
+    q = gamma.field.q
+    t1 = Fraction(q) ** gamma.m1
+    if gamma.m1 != gamma.m2:
+        return t1, Fraction(q) ** gamma.m2
+    if gamma.d == gamma.m1:
+        return t1, -t1
+    return t1, t1 * (1 - Fraction(q) ** (gamma.d - gamma.m1))
 
 
 def tree_orbital_oracle(h, gamma, depth):
@@ -159,28 +98,27 @@ def tree_orbital_oracle(h, gamma, depth):
     not stabilized.
 
     The representatives are [[t1, (t1 - t2) j/q^depth], [0, t2]] for
-    j < q^depth.  v(t1), v(t2) and v(t1 t2) are read once; each
-    representative's corner entry has valuation v(n j) - v(d) - depth,
-    where t1 - t2 = n/d, read from the integer n*j.  The least of the
-    three entry valuations gives its double coset, and h is summed over
-    the count of representatives in each coset."""
+    j < q^depth, with t1, t2 built from the class's valuation triple.
+    v(t1), v(t2) and v(t1 t2) are read once; each representative's
+    corner entry has valuation v(n j) - v(e) - depth, where
+    t1 - t2 = n/e, read from the integer n*j.  The least of the three
+    entry valuations gives its double coset, and h is summed over the
+    count of representatives in each coset."""
     if depth < 0:
         raise ValueError("tree depth = %d is negative: it counts denominator "
                          "exponents >= 0" % depth)
-    if not gamma.regular:
-        raise ValueError("orbital integral undefined at a singular class")
-    if gamma.t1 is None:
-        raise ValueError("the tree oracle needs explicit rational entries, "
-                         "and q = %d is not a prime" % gamma.field.q)
     q = h.field.q
-    t1, t2 = gamma.t1, gamma.t2
+    if not is_prime(q):
+        raise ValueError("the tree oracle needs explicit rational entries, "
+                         "and q = %d is not a prime" % q)
+    t1, t2 = _entries(gamma)
     diff = t1 - t2
-    diag = min(_valp(t1, q), _valp(t2, q))
-    dv = _valp(t1 * t2, q)
-    num, shift = diff.numerator, _vint(diff.denominator, q) + depth
+    diag = min(valuation(t1, q)[0], valuation(t2, q)[0])
+    dv = valuation(t1 * t2, q)[0]
+    num, shift = diff.numerator, valuation(diff.denominator, q)[0] + depth
     counts = {}
     for j in range(q ** depth):
-        d1 = min(diag, _vint(num * j, q) - shift)
+        d1 = min(diag, valuation(num * j, q)[0] - shift)
         counts[d1] = counts.get(d1, 0) + 1
     total = LaurentQ(0, 0, q)
     for d1, n in counts.items():
@@ -198,8 +136,7 @@ def tree_orbital_oracle(h, gamma, depth):
 
 
 def phi_transform(h, a):
-    """Phi(a) = H(a) * integral over N of h(a n) dn; defined at singular
-    a as well, where the unipotent integral is still finite."""
+    """Phi(a) = H(a) * integral over N of h(a n) dn."""
     if not isinstance(a, SplitClass):
         raise TypeError("need a SplitClass")
     if h.field != a.field:
@@ -221,26 +158,16 @@ def measure_phi_exponent(h, a):
     # expect a pure power of v: ratio = v^k
     if ratio.a and ratio.b:
         return None
-    q = a.field.q
-    if ratio.b:
-        c, k = ratio.b, 1
-    else:
-        c, k = ratio.a, 0
-    while c.numerator % q == 0:
-        c, k = c / q, k + 2
-    while c.denominator % q == 0:
-        c, k = c * q, k - 2
+    j, c = valuation(ratio.b or ratio.a, a.field.q)
     if c != 1:
         return None
-    return Fraction(k, 2 * (a.m2 - a.m1))
+    return Fraction(2 * j + (1 if ratio.b else 0), 2 * (a.m2 - a.m1))
 
 
 def orbital_zeta(gamma, r, N):
     """Coefficients f_G(basic_coeff(r, n), gamma) of t^n, n = 0 .. N."""
     if N < 0:
         raise ValueError("N = %s is negative: a series order is >= 0" % N)
-    if not gamma.regular:
-        raise ValueError("zeta series needs a regular class")
     field = gamma.field
     return [split_orbital(basic_coeff(r, n, field), gamma) for n in range(N + 1)]
 

@@ -17,7 +17,24 @@ yet; such values must have zero v-part and absorb the q of the other
 operand.
 """
 
+import math
 from fractions import Fraction
+
+
+def valuation(x, p):
+    """(v, u) with x = p^v * u and u prime to p, for an int or Fraction x;
+    u is an int when it is integral.  Zero has no finite valuation: it
+    gives (math.inf, 0)."""
+    if not x:
+        return math.inf, 0
+    n, d, v = x.numerator, x.denominator, 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v, (n if d == 1 else Fraction(n, d))
 
 
 def fr(x):
@@ -103,9 +120,6 @@ class LaurentQ:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -130,18 +144,6 @@ class LaurentQ:
         if n == 0:
             raise ZeroDivisionError("zero divisor: q = %s is a rational square" % self.q)
         return LaurentQ(self.a / n, -self.b / n, self.q)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -202,10 +204,7 @@ class LaurentQ:
             if isinstance(c, QiNumber):
                 c = "(%s)" % c
             elif self.q is not None:
-                while c.numerator % self.q == 0:
-                    c, j = c / self.q, j + 1
-                while c.denominator % self.q == 0:
-                    c, j = c * self.q, j - 1
+                j, c = valuation(c, self.q)
             out.append((c, 2 * j + parity))
         out.sort(key=lambda t: t[1])
         return out

@@ -1,16 +1,19 @@
 """Code that only tests use: earlier implementations kept as oracles for
 the kernels that replaced them, samplers, the character and S-class
-group evaluations that no subcommand calls, and the Eichler-Selberg
-trace formula as a second path to tau.  As in gl2trace.chargroup, a
-character is its exponent tuple, a group function is the list of its
-values in group.elements() order, and a subgroup is given by a list of
-generators."""
+group evaluations that no subcommand calls, the trivial Satake
+parameter, and the Eichler-Selberg trace formula as a second path to
+tau.  As in gl2trace.chargroup, a character is its exponent tuple, a
+group function is the list of its values in group.elements() order, and
+a subgroup is given by a list of generators."""
 
 import math
 from fractions import Fraction
 
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
-                                _cyclo_reduce, annihilator, subgroup_generated)
+                                _cyclo_reduce, annihilator, kronecker,
+                                subgroup_generated)
+from gl2trace.hecke import SatakeParameter
+from gl2trace.rings import QiNumber
 
 
 # -- characters and cyclotomics ---------------------------------------------
@@ -196,6 +199,22 @@ def on_vector(ch, vec):
         if x:
             e ^= t
     return -1 if e else 1
+
+
+def quad_char_eval(ch, t):
+    " Kronecker symbol (d/t) of a QuadChar, extended multiplicatively to rationals "
+    t = Fraction(t)
+    if not t:
+        raise ValueError("character value at t = 0: t must be nonzero")
+    return kronecker(ch.d, t.numerator) * kronecker(ch.d, t.denominator)
+
+
+# -- Satake parameters ------------------------------------------------------
+
+
+def trivial_parameter():
+    " the Satake parameter (1, 1) "
+    return SatakeParameter(QiNumber(1), QiNumber(1))
 
 
 # -- assembly ---------------------------------------------------------------

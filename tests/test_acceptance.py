@@ -23,7 +23,7 @@ from gl2trace.orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
 from gl2trace.rings import LaurentQ
 from gl2trace.spectral import AdjointProxy, delta_qexpansion, mr_estimator
 
-from _oracles import sample_poisson_triple
+from _oracles import sample_poisson_triple, trivial_parameter
 
 INF = "inf"
 
@@ -92,7 +92,7 @@ def test_c03_hecke_identity():
 def test_c04_basic_function_identity():
     t0 = time.time()
     reps = [RepSpec.parse(s) for s in ("std", "sym2", "sym3", "std*det")]
-    params = [SatakeParameter.trivial(), SatakeParameter.from_triple(2, 1),
+    params = [trivial_parameter(), SatakeParameter.from_triple(2, 1),
               SatakeParameter.from_triple(3, 2)]
     for q in (2, 3):
         field = LocalField(q)
@@ -109,13 +109,13 @@ def test_c04_basic_function_identity():
 
 def _orbital_grid(field):
     q = field.q
-    classes = [SplitClass.from_data(field, 1, 0),
-               SplitClass.from_data(field, 2, 0),
-               SplitClass.from_data(field, 2, 1),
-               SplitClass.from_data(field, 1, -1),
-               SplitClass.from_data(field, 0, 0),
-               SplitClass.from_data(field, 0, 0, d=2 if q != 2 else 3),
-               SplitClass.from_data(field, 1, 1, d=3)]
+    classes = [SplitClass(field, 1, 0),
+               SplitClass(field, 2, 0),
+               SplitClass(field, 2, 1),
+               SplitClass(field, 1, -1),
+               SplitClass(field, 0, 0),
+               SplitClass(field, 0, 0, d=2 if q != 2 else 3),
+               SplitClass(field, 1, 1, d=3)]
     return [g for g in classes if g.d <= 3]
 
 
@@ -163,9 +163,9 @@ def test_c07_zeta_rationality():
     order = degn + degd + 12  # 12 certified coefficients past the window
     for q in (2, 3):
         field = LocalField(q)
-        classes = [SplitClass.from_data(field, 1, 0),
-                   SplitClass.from_data(field, 0, 0, d=1),
-                   SplitClass.from_data(field, 0, 0, d=2)]
+        classes = [SplitClass(field, 1, 0),
+                   SplitClass(field, 0, 0, d=1),
+                   SplitClass(field, 0, 0, d=2)]
         for g in classes:
             series = orbital_zeta(g, RepSpec(1), order)
             fn = rational_reconstruct(series, degn, degd)

@@ -87,6 +87,35 @@ def test_orbital_float(tp3, capsys):
     assert abs(val - 3 ** 0.5) < 1e-9
 
 
+@pytest.mark.parametrize("d", ["1000000001", "1000000000"])
+def test_orbital_huge_d(tmp_path, d):
+    """a split class is its valuation triple: f_G does not depend on d, so
+    no entry q^d is formed, and d = 10^9 is a value like any other"""
+    unit = tmp_path / "unit.hecke"
+    unit.write_text("q 3 kmin 0\n0 0 1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gl2trace.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "gl2trace.cli", "orbital",
+                           "--q", "3", "--gamma", "0,0", "--d", d, "--in", str(unit)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "orbital\t1\n", "")
+
+
+def test_float_only_where_read(tp3, assemble_cfg, capsys):
+    " --float belongs to orbital and assemble; the other subcommands reject it "
+    for name in cli.COMMANDS:
+        if name not in ("orbital", "assemble"):
+            assert run([name, "--float"]) == 2, name
+            err = capsys.readouterr().err
+            assert err.endswith("error: unrecognized arguments: --float\n"), name
+    assert run(["satake", "--q", "3", "--in", tp3]) == 0
+    assert capsys.readouterr().out == "v*(Y1 + Y2)\n"
+    assert run(["satake", "--q", "3", "--in", tp3, "--float"]) == 2
+    cfg, base = assemble_cfg
+    assert run(["assemble", "--config", cfg, "--base-dir", base, "--float"]) == 0
+    assert "one_dim_spectral\t48\n" in capsys.readouterr().out
+
+
 def test_orbital_zeta_certified(capsys):
     assert run(["orbital-zeta", "--q", "2", "--gamma", "1,0", "--r", "std",
                 "--N", "12", "--fit", "1,3"]) == 0
@@ -469,9 +498,9 @@ def test_config_duplicate_key(argv, text, key, tmp_path, capsys):
     (["l-factor", "--q", "2", "--r", "std"], "check = abc", "'abc'"),
     (["intertwine"], "tol = x", "'x'"),
     (["tau"], "x = 3.5", "'3.5'"),
-    # the config key is the flag's dest, order; the message names --N
+    # the config key is the flag's name, N, whose dest is order
     (["orbital-zeta", "--q", "2", "--r", "std", "--gamma", "1,0", "--fit", "1,1"],
-     "order = 8.0", "for --N: invalid literal for int() with base 10: '8.0'"),
+     "N = 8.0", "for --N: invalid literal for int() with base 10: '8.0'"),
 ])
 def test_config_value_typed(argv, line, value, tmp_path, capsys):
     " a config value goes through its flag's type, and a bad one is named "
@@ -482,6 +511,31 @@ def test_config_value_typed(argv, line, value, tmp_path, capsys):
     assert err.startswith("error: ") and value in err
     assert err.startswith("error: --config value %s for --" % line)
     assert out == ""
+
+
+ORBITAL_ZETA = ["orbital-zeta", "--q", "2", "--gamma", "1,0", "--r", "std",
+                "--fit", "1,3"]
+
+
+@pytest.mark.parametrize("argv, flag_line, dest_line, out", [
+    (["orbital", "--q", "3", "--gamma", "1,0", "--in", "{tp3}"],
+     "float = yes", "as_float = yes", "orbital\t1.73205080757\n"),
+    (ORBITAL_ZETA, "N = 12", "order = 12", "certified on 8 coefficients"),
+    (["satake", "--q", "3"], "in = {tp3}", "infile = {tp3}", "v*(Y1 + Y2)\n"),
+])
+def test_config_keys_are_flag_names(argv, flag_line, dest_line, out, tp3,
+                                    tmp_path, capsys):
+    """a --config key is the flag's name (--float, --N, --in), not its
+    argparse dest (as_float, order, infile)"""
+    argv = [a.format(tp3=tp3) for a in argv]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(flag_line.format(tp3=tp3) + "\n")
+    assert run(argv + ["--config", str(cfg)]) == 0
+    assert out in capsys.readouterr().out
+    cfg.write_text(dest_line.format(tp3=tp3) + "\n")
+    assert run(argv + ["--config", str(cfg)]) == 2
+    key = dest_line.split(" = ")[0]
+    assert capsys.readouterr() == ("", "error: unknown config key: %r\n" % key)
 
 
 def count_phi_transforms(monkeypatch):

@@ -16,10 +16,12 @@ import pytest
 
 import gl2trace
 from gl2trace.hecke import (HeckeElement, LocalField, SatakeParameter,
-                            SymLaurent, _coset_classes, convolve,
-                            coset_decomposition, coset_degree, inverse_satake,
-                            n_integral, satake_transform, spherical_trace)
+                            SymLaurent, _coset_classes, convolve, coset_degree,
+                            inverse_satake, n_integral, satake_transform,
+                            spherical_trace)
 from gl2trace.rings import LaurentQ, QiNumber
+
+from _oracles import trivial_parameter
 
 INF = 10 ** 9
 
@@ -76,6 +78,36 @@ def random_unit(rng, p):
         if det != 0 and valp(det, p) == 0:
             return ((Fraction(x[0][0]), Fraction(x[0][1])),
                     (Fraction(x[1][0]), Fraction(x[1][1])))
+
+
+def coset_decomposition(field, key):
+    """Canonical upper-triangular representatives x with
+    K.diag(p^a, p^b).K = disjoint union of x.K, the reference for
+    coset_degree.
+
+    Representatives are [[p^i, u], [0, p^j]] with i + j = a + b,
+    u running over residues mod p^i whose valuation keeps the
+    elementary-divisor type equal to (a, b); entries are Fractions
+    when b < 0.
+    """
+    a, b = key
+    q = field.q
+    m = a - b
+    scale = Fraction(q) ** b
+    if m == 0:
+        return [((scale, Fraction(0)), (Fraction(0), scale))]
+    reps = []
+    for i in range(m + 1):
+        if i == 0:
+            us = [0]
+        elif i < m:
+            us = [u for u in range(1, q ** i) if u % q != 0]
+        else:
+            us = range(q ** m)
+        pi, pj = Fraction(q) ** i, Fraction(q) ** (m - i)
+        for u in us:
+            reps.append(((pi * scale, u * scale), (Fraction(0), pj * scale)))
+    return reps
 
 
 CASES = [(2, (1, 0)), (2, (2, 0)), (2, (2, 1)), (2, (3, 0)),
@@ -239,10 +271,10 @@ def test_convolution_associates():
 
 def test_satake_frozen_values():
     field = LocalField(2)
-    v = field.v(1)
+    v = LaurentQ.v_power(1, 2)
     s = satake_transform(HeckeElement.char(field, (1, 0)))
     assert s == SymLaurent({(1, 0): v}, 2)
-    assert satake_transform(HeckeElement.unit(field)) == SymLaurent.one(2)
+    assert satake_transform(HeckeElement.unit(field)) == SymLaurent({(0, 0): 1}, 2)
     assert satake_transform(HeckeElement.char(field, (1, 1))) == SymLaurent({(1, 1): 1}, 2)
     s20 = satake_transform(HeckeElement.char(field, (2, 0)))
     assert s20 == SymLaurent({(2, 0): 2, (1, 1): 1}, 2)
@@ -439,13 +471,13 @@ def test_symlaurent_product_matches_naive(q):
         else:
             p1, p2 = random_symlaurent(rng, q), random_symlaurent(rng, q)
         assert p1 * p2 == naive_product(p1, p2) == p2 * p1
-    one = SymLaurent.one()
+    one = SymLaurent({(0, 0): 1})
     assert (one * one).coeffs == {(0, 0): LaurentQ(1)}
     # (Y1 + Y2)^2 = (Y1^2 + Y2^2) + 2 Y1 Y2: the cross term lands twice
     y = SymLaurent({(1, 0): 1})
     assert y * y == SymLaurent({(2, 0): 1, (1, 1): 2})
     d = SymLaurent({(1, 1): LaurentQ(0, 1, 3), (0, -2): LaurentQ(2, -1, 3)}, 3)
-    assert d * SymLaurent.one(3) == d == SymLaurent.one() * d
+    assert d * SymLaurent({(0, 0): 1}, 3) == d == one * d
     zero = SymLaurent({}, q)
     assert (zero * d).coeffs == (d * zero).coeffs == {}
     # (Y1 + Y2 - 2 Y1 Y2)(Y1 + Y2 + 1): the cross term's 2 Y1 Y2 cancels
@@ -473,7 +505,7 @@ def test_degree_character(q, key):
     " the transform evaluated at Y = (v, 1/v) counts cosets "
     field = LocalField(q)
     s = satake_transform(HeckeElement.char(field, key))
-    v = field.v(1)
+    v = LaurentQ.v_power(1, q)
     val = naive_evaluate(s, v, v.inverse())
     assert val == LaurentQ(coset_degree(field, key), 0, q)
 
@@ -487,7 +519,7 @@ def test_macdonald_formula(q):
             want = schur(b + m, b, q)
             if m:
                 want = want - schur(b + m - 1, b + 1, q).scale(Fraction(1, q))
-                want = want.scale(field.v(m))
+                want = want.scale(LaurentQ.v_power(m, q))
             assert satake_transform(HeckeElement.char(field, (b + m, b))) == want
 
 
@@ -529,7 +561,7 @@ def test_inverse_satake_needs_field():
 def test_spherical_trace_exact():
     field = LocalField(2)
     tp = HeckeElement.char(field, (1, 0))
-    tr = spherical_trace(tp, SatakeParameter.trivial())
+    tr = spherical_trace(tp, trivial_parameter())
     assert tr == LaurentQ(QiNumber(0), QiNumber(2), 2)
 
     sp = SatakeParameter.from_triple(2, 1)
@@ -546,8 +578,9 @@ def test_spherical_trace_matches_naive(q):
     " exact traces against per-monomial powers "
     rng = random.Random(300 + q)
     field = LocalField(q)
-    params = [SatakeParameter.trivial(), SatakeParameter.from_triple(2, 1),
-              SatakeParameter.from_triple(3, 2, conj_pair=False),
+    alpha = SatakeParameter.from_triple(3, 2).alpha
+    params = [trivial_parameter(), SatakeParameter.from_triple(2, 1),
+              SatakeParameter(alpha, alpha),
               SatakeParameter(QiNumber(Fraction(1, 2), 2), QiNumber(-3, Fraction(1, 3)))]
     hs = [inverse_satake(random_symlaurent(rng, q)) for _ in range(6)]
     hs.append(HeckeElement(field, {(1, -2): LaurentQ(1, 1, q), (-1, -1): 3}))
@@ -621,7 +654,7 @@ def test_hecke_checks_survive_optimize():
             "             lambda: HeckeElement(f2, {(1, 0): 0.5}),\n"
             "             lambda: HeckeElement.unit(f2) + 1,\n"
             "             lambda: HeckeElement.unit(f2) + HeckeElement.unit(f3),\n"
-            "             lambda: SymLaurent.one(2) + 1):\n"
+            "             lambda: SymLaurent({(0, 0): 1}, 2) + 1):\n"
             "    try:\n"
             "        call()\n"
             "    except (TypeError, ValueError) as e:\n"

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from gl2trace.basicfn import STD, RepSpec
+from gl2trace.chargroup import is_prime
 from gl2trace.hecke import HeckeElement, LocalField
-from gl2trace.orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
-                              phi_transform, rational_reconstruct,
+from gl2trace.orbital import (SplitClass, _entries, measure_phi_exponent,
+                              orbital_zeta, phi_transform, rational_reconstruct,
                               split_orbital, tree_orbital_oracle)
 from gl2trace.rings import LaurentQ
 
@@ -30,12 +31,40 @@ def valp(x, p):
     return v
 
 
-def matrix_cosets(gamma, depth):
+def class_of_entries(field, t1, t2):
+    """The split class diag(t1, t2) of explicit rational entries, by the
+    valuations of t1, t2 and t1 - t2; a prime q makes them meaningful"""
+    if not is_prime(field.q):
+        raise ValueError("rational class data needs a prime residue "
+                         "cardinality, got q = %d" % field.q)
+    t1, t2 = Fraction(t1), Fraction(t2)
+    if not t1 or not t2:
+        raise ValueError("split class diag(%s, %s) needs nonzero "
+                         "entries" % (t1, t2))
+    if t1 == t2:
+        raise ValueError("diag(%s, %s) is central: d = v(t1 - t2) is "
+                         "infinite" % (t1, t2))
+    q = field.q
+    return SplitClass(field, valp(t1, q), valp(t2, q), valp(t1 - t2, q))
+
+
+def other_entries(gamma):
+    """explicit t1, t2 with the valuation triple of gamma, other than the
+    ones the tree oracle builds: (q+1) q^m1 and -q^m2 when m1 != m2, and
+    for m1 = m2 = m, q^m and 2 q^m (d = m, q odd) or q^m (1 + q^(d-m))"""
+    q, m1, m2, d = gamma.field.q, gamma.m1, gamma.m2, gamma.d
+    t1 = Fraction(q) ** m1
+    if m1 != m2:
+        return (q + 1) * t1, -Fraction(q) ** m2
+    if d == m1:
+        return t1, 2 * t1
+    return t1, t1 * (1 + Fraction(q) ** (d - m1))
+
+
+def matrix_cosets(q, t1, t2, depth):
     """The double coset (v(det) - d1, d1) of each explicit representative
     [[t1, (t1 - t2) j/q^depth], [0, t2]], j < q^depth, with d1 the least
     valuation of its Fraction entries."""
-    q = gamma.field.q
-    t1, t2 = gamma.t1, gamma.t2
     denom = Fraction(q) ** depth
     dv = valp(t1 * t2, q)
     keys = []
@@ -48,7 +77,7 @@ def matrix_cosets(gamma, depth):
 
 def matrix_tree_oracle(h, gamma, depth, cosets):
     """The tree oracle on explicit matrices: one LaurentQ sum per
-    representative over matrix_cosets(gamma, depth), and the same
+    representative over matrix_cosets(q, t1, t2, depth), and the same
     stabilization warning."""
     total = LaurentQ(0, 0, h.field.q)
     for key in cosets:
@@ -66,58 +95,53 @@ def matrix_tree_oracle(h, gamma, depth, cosets):
 
 def test_split_class_from_rationals():
     field = LocalField(3)
-    g = SplitClass(field, Fraction(3), Fraction(1, 3))
+    g = class_of_entries(field, Fraction(3), Fraction(1, 3))
     assert (g.m1, g.m2, g.d) == (1, -1, -1)
-    assert g.regular
     assert g.h_value() == Fraction(1, 9)
     assert g.disc_half() == LaurentQ.v_power(0 - 2 * (-1), 3)
 
 
 def test_split_class_rejects_bad_input():
     with pytest.raises(ValueError, match="got q = 4"):
-        SplitClass(LocalField(4), 1, 2)
+        class_of_entries(LocalField(4), 1, 2)
     with pytest.raises(ValueError, match=r"diag\(0, 3\) needs nonzero"):
-        SplitClass(LocalField(3), 0, 3)
+        class_of_entries(LocalField(3), 0, 3)
+    with pytest.raises(ValueError, match="is central"):
+        class_of_entries(LocalField(3), 9, 9)
     with pytest.raises(ValueError, match="q = 4 is not a prime"):
         tree_orbital_oracle(HeckeElement.unit(LocalField(4)),
-                            SplitClass.from_data(LocalField(4), 1, 0), 2)
-    with pytest.raises(ValueError, match="singular class"):
-        tree_orbital_oracle(HeckeElement.unit(LocalField(3)),
-                            SplitClass.singular(LocalField(3)), 2)
+                            SplitClass(LocalField(4), 1, 0), 2)
 
 
 def test_split_class_from_data():
     field = LocalField(2)
-    g = SplitClass.from_data(field, 1, 0)
-    assert g.d == 0 and g.t1 == 2 and g.t2 == 1
-    g2 = SplitClass.from_data(field, 0, 0)
+    g = SplitClass(field, 1, 0)
+    assert g.d == 0
+    g2 = SplitClass(field, 0, 0)
     assert g2.d == 1  # 2-adic units differ by an even amount
-    g3 = SplitClass.from_data(LocalField(3), 0, 0)
+    g3 = SplitClass(LocalField(3), 0, 0)
     assert g3.d == 0
-    g4 = SplitClass.from_data(LocalField(3), 1, 1, d=3)
-    assert (g4.t1, g4.t2) == (3, 3 * (1 - 9))
+    g4 = SplitClass(LocalField(3), 1, 1, d=3)
+    assert _entries(g4) == (3, 3 * (1 - 9))
     with pytest.raises(ValueError):
-        SplitClass.from_data(field, 1, 0, d=1)
+        SplitClass(field, 1, 0, d=1)
     with pytest.raises(ValueError):
-        SplitClass.from_data(field, 0, 0, d=0)
-
-
-def test_singular_class():
-    field = LocalField(3)
-    s = SplitClass.singular(field, 1)
-    assert not s.regular
-    with pytest.raises(ValueError):
-        split_orbital(HeckeElement.unit(field), s)
-    # Phi is still defined there
-    assert phi_transform(HeckeElement.unit(field), SplitClass.singular(field, 0)) == 1
+        SplitClass(field, 0, 0, d=0)
+    # the tree oracle's entries realize each class's triple
+    for q in (2, 3, 5):
+        for m1, m2, d in [(1, 0, None), (0, 2, None), (-1, -1, None),
+                          (1, 1, 4), (0, 0, 1)]:
+            g = SplitClass(LocalField(q), m1, m2, d)
+            same = class_of_entries(g.field, *_entries(g))
+            assert (same.m1, same.m2, same.d) == (g.m1, g.m2, g.d)
 
 
 def test_split_orbital_frozen():
     field = LocalField(2)
     char_k = HeckeElement.unit(field)
     tp = HeckeElement.char(field, (1, 0))
-    u_class = SplitClass.from_data(field, 0, 0)        # diag(1, u)
-    p_class = SplitClass.from_data(field, 1, 0)        # diag(p, 1)
+    u_class = SplitClass(field, 0, 0)        # diag(1, u)
+    p_class = SplitClass(field, 1, 0)        # diag(p, 1)
     assert split_orbital(char_k, u_class) == LaurentQ(1, 0, 2)
     assert split_orbital(tp, p_class) == LaurentQ(0, 1, 2)
     assert split_orbital(char_k, p_class) == LaurentQ(0, 0, 2)
@@ -127,7 +151,7 @@ def test_split_orbital_d_independent():
     field = LocalField(3)
     char_k = HeckeElement.unit(field)
     for d in (0, 1, 3):
-        g = SplitClass.from_data(field, 0, 0, d=d)
+        g = SplitClass(field, 0, 0, d=d)
         assert split_orbital(char_k, g) == 1
 
 
@@ -146,12 +170,12 @@ def test_oracle_equivalence(q, hi):
     field = LocalField(q)
     h = GRID_H[hi](field)
     radius = max(max(abs(a), abs(b)) for (a, b) in h.support())
-    classes = [SplitClass.from_data(field, 1, 0),
-               SplitClass.from_data(field, 0, 0),
-               SplitClass.from_data(field, 2, 0),
-               SplitClass.from_data(field, 0, 0, d=2 if q != 2 else 3),
-               SplitClass.from_data(field, 1, -1),
-               SplitClass.from_data(field, 1, 1, d=1 if q != 2 else 2)]
+    classes = [SplitClass(field, 1, 0),
+               SplitClass(field, 0, 0),
+               SplitClass(field, 2, 0),
+               SplitClass(field, 0, 0, d=2 if q != 2 else 3),
+               SplitClass(field, 1, -1),
+               SplitClass(field, 1, 1, d=1 if q != 2 else 2)]
     for g in classes:
         depth = g.d + radius + 2
         with warnings.catch_warnings():
@@ -168,23 +192,23 @@ GAMMA_DATA = [(1, 0, None), (2, 0, None), (2, 1, None), (1, -1, None),
 
 def oracle_classes(field):
     """every class above, with d given and with d defaulted, once each:
-    a defaulted d builds the same class as the d it defaults to"""
+    a defaulted d builds the same triple as the d it defaults to"""
     seen = {}
     for m1, m2, d in GAMMA_DATA:
         for d_arg in (d, min(m1, m2) if m1 != m2 else d):
             try:
-                g = SplitClass.from_data(field, m1, m2, d_arg)
+                g = SplitClass(field, m1, m2, d_arg)
             except ValueError:   # q = 2 realizes no d = m1 when m1 = m2
                 assert field.q == 2 and d_arg == m1 == m2
                 continue
-            data = (g.m1, g.m2, g.d)
-            assert seen.setdefault(data, (g.t1, g.t2)) == (g.t1, g.t2)
-    return [SplitClass.from_data(field, *data) for data in seen]
+            seen[(g.m1, g.m2, g.d)] = g
+    return list(seen.values())
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_tree_oracle_matches_matrix_oracle(q):
-    """Integer valuations against explicit matrices at every depth with
+    """Integer valuations of the entries the oracle builds against explicit
+    matrices on other entries with the same triple, at every depth with
     q^depth <= 3000, on a dense element with v-parts and negative keys,
     on the unit and on the empty element; equal values and warnings"""
     rng = random.Random(1700 + q)
@@ -198,8 +222,11 @@ def test_tree_oracle_matches_matrix_oracle(q):
     while q ** (depth_top + 1) <= 3000:
         depth_top += 1
     for g in oracle_classes(field):
+        t1, t2 = other_entries(g)
+        same = class_of_entries(field, t1, t2)
+        assert (same.m1, same.m2, same.d) == (g.m1, g.m2, g.d)
         for depth in range(depth_top + 1):
-            cosets = matrix_cosets(g, depth)
+            cosets = matrix_cosets(q, t1, t2, depth)
             for h in hs:
                 with warnings.catch_warnings(record=True) as got_w:
                     warnings.simplefilter("always")
@@ -214,22 +241,22 @@ def test_tree_oracle_matches_matrix_oracle(q):
 
 def test_oracle_warns_when_shallow():
     field = LocalField(3)
-    g = SplitClass.from_data(field, 0, 0, d=2)
+    g = SplitClass(field, 0, 0, d=2)
     with pytest.warns(UserWarning):
         tree_orbital_oracle(HeckeElement.unit(field), g, 1)
 
 
 def test_oracle_depth0_off_support():
     field = LocalField(2)
-    g = SplitClass.from_data(field, 1, 0)
+    g = SplitClass(field, 1, 0)
     assert tree_orbital_oracle(HeckeElement.unit(field), g, 0) == 0
 
 
 def test_phi_frozen():
     field = LocalField(5)
-    assert phi_transform(HeckeElement.unit(field), SplitClass.from_data(field, 0, 0)) == 1
+    assert phi_transform(HeckeElement.unit(field), SplitClass(field, 0, 0)) == 1
     tp = HeckeElement.char(field, (1, 0))
-    assert phi_transform(tp, SplitClass.from_data(field, 1, 0)) == 1
+    assert phi_transform(tp, SplitClass(field, 1, 0)) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -238,9 +265,9 @@ def test_phi_relation_half_exponent(q):
     field = LocalField(q)
     hs = [HeckeElement.unit(field), HeckeElement.char(field, (1, 0)),
           HeckeElement.char(field, (2, 0))]
-    classes = [SplitClass.from_data(field, m1, m2)
+    classes = [SplitClass(field, m1, m2)
                for m1, m2 in [(1, 0), (2, 0), (2, 1), (3, 0), (1, -1), (2, -1)]]
-    classes += [SplitClass.from_data(field, 0, 0, d=d) for d in range(3 if q == 2 else 0, 4)]
+    classes += [SplitClass(field, 0, 0, d=d) for d in range(3 if q == 2 else 0, 4)]
     measured = set()
     for h in hs:
         for g in classes:
@@ -259,16 +286,16 @@ def test_vanishing_off_determinant():
     field = LocalField(3)
     h = HeckeElement(field, {(2, 1): 1, (1, 1): 4})  # det valuations 3 and 2
     for m1, m2 in [(1, 0), (0, 0), (2, -1)]:
-        assert split_orbital(h, SplitClass.from_data(field, m1, m2)) == 0
+        assert split_orbital(h, SplitClass(field, m1, m2)) == 0
 
 
 def test_orbital_zeta_shapes():
     field = LocalField(2)
-    u_class = SplitClass.from_data(field, 0, 0)
+    u_class = SplitClass(field, 0, 0)
     z = orbital_zeta(u_class, STD, 2)
     assert z[0] == 1 and z[1] == 0 and z[2] == 0
 
-    p_class = SplitClass.from_data(field, 1, 0)
+    p_class = SplitClass(field, 1, 0)
     z2 = orbital_zeta(p_class, STD, 4)
     assert len(z2) == 5
     assert z2[0] == 0 and z2[1] == 1
@@ -281,7 +308,7 @@ def test_orbital_zeta_shapes():
 def test_orbital_zeta_single_valuation_support():
     " coefficients live only at n with n*(k+2m) = det valuation "
     field = LocalField(3)
-    g = SplitClass.from_data(field, 1, 1, d=1)
+    g = SplitClass(field, 1, 1, d=1)
     z = orbital_zeta(g, STD, 5)
     assert [bool(c) for c in z] == [False, False, True, False, False, False]
     assert z[2] == 1
@@ -326,7 +353,7 @@ def test_reconstruct_underdetermined_consistent():
 
 def test_zeta_self_certification():
     field = LocalField(2)
-    g = SplitClass.from_data(field, 1, 0)
+    g = SplitClass(field, 1, 0)
     z = orbital_zeta(g, STD, 24)
     fn = rational_reconstruct(z, 1, 3)
     assert fn is not None
