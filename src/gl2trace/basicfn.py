@@ -100,7 +100,8 @@ def symn_trace(r, n):
         for s in range(j, len(c)):                   # over 1 - t^j, exactly
             c[s] += c[s - j]
         del c[n * j + 1:]
-    assert c == c[::-1], "weight multiset is not Weyl-stable"
+    if c != c[::-1]:
+        raise RuntimeError("weight multiset is not Weyl-stable")
     e1, e2 = n * (r.k + r.m), n * r.m
     return SymLaurent({(e1 - s, e2 + s): c[s] for s in range(n * r.k // 2 + 1)}, None)
 
@@ -211,7 +212,8 @@ def local_l_factor(r, c):
 def _trace_value(h, c):
     " spherical trace at c: v-free, so kept as a LaurentQ with no q "
     val = spherical_trace(h, c)
-    assert val.v_free, "trace of a basic-function coefficient kept a v-part"
+    if not val.v_free:
+        raise RuntimeError("trace of a basic-function coefficient kept a v-part")
     return LaurentQ(val.a)
 
 

@@ -43,7 +43,8 @@ def cyclotomic_poly(L):
 def _poly_divexact(num, den):
     num = list(num)
     dd = len(den) - 1
-    assert den[dd] == 1, "cyclotomic divisors are monic"
+    if den[dd] != 1:
+        raise RuntimeError("cyclotomic divisors are monic")
     out = [0] * (len(num) - dd)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + dd]
@@ -51,7 +52,8 @@ def _poly_divexact(num, den):
         if c:
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
-    assert all(x == 0 for x in num[:dd]), "inexact cyclotomic division"
+    if any(num[:dd]):
+        raise RuntimeError("inexact cyclotomic division")
     return out
 
 
@@ -574,8 +576,9 @@ class SClassGroup:
                 chars.append(QuadChar(d, c, self, table))
         chars.sort(key=lambda ch: (abs(ch.d), ch.d < 0))
         self.quad_chars = chars
-        assert len(chars) == self.group.order, \
-            "dual size %d does not match group order %d" % (len(chars), self.group.order)
+        if len(chars) != self.group.order:
+            raise RuntimeError("dual size %d does not match group order %d"
+                               % (len(chars), self.group.order))
 
     def __repr__(self):
         return "SClassGroup(S=%s, D=(Z/2)^%d)" % (self.places, len(self.free_idx))

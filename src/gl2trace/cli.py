@@ -20,7 +20,7 @@ from .basicfn import RepSpec, basic_coeff, local_l_factor, trace_series
 from .chargroup import (class_group_mod_squares, parse_group_function,
                         poisson_check)
 from .hecke import (HeckeElement, LocalField, SatakeParameter, convolve,
-                    satake_transform)
+                    satake_transform, transform_is_multiplicative)
 from .kernels import BACKEND
 from .orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
                       phi_transform, rational_reconstruct, split_orbital,
@@ -112,7 +112,7 @@ def _cmd_convolve(args):
     prod = convolve(h1, h2)
     _write_out(args, prod.to_text())
     # homomorphism self-check on the pair just convolved
-    if satake_transform(prod) != satake_transform(h1) * satake_transform(h2):
+    if not transform_is_multiplicative(h1, h2, prod):
         print("FAIL transform of the product differs from the product "
               "of transforms")
         return FAIL
@@ -198,13 +198,14 @@ def _cmd_phi_check(args):
     for h in hs:
         for m in range(1, args.dmax + 1):
             a = SplitClass(field, m, 0)
-            want = LaurentQ.v_power(a.m2 - a.m1, args.q) * split_orbital(h, a)
+            f = split_orbital(h, a)
+            want = LaurentQ.v_power(a.m2 - a.m1, args.q) * f
             got = phi_transform(h, a)
             if got != want:
                 print("FAIL at m = %d: phi = %s, H^(1/2) f_G = %s"
                       % (m, got.compact(), want.compact()))
                 return FAIL
-            e = measure_phi_exponent(h, a)
+            e = measure_phi_exponent(a, got, f)
             if e is not None:
                 exponents.add(e)
     print("relation verified; measured H-exponent(s): %s"
@@ -471,9 +472,9 @@ def run(argv=None):
                                  % (flag, value, flag.replace("_", "-"), e)) from None
             elif value is None and "default" in spec:
                 setattr(args, dest, spec["default"])
-        for dest, _, spec in dests:
+        for dest, flag, spec in dests:
             if spec.get("required") and getattr(args, dest) is None:
-                raise _Usage("missing a value for %r" % dest)
+                raise _Usage("missing a value for --%s" % flag.replace("_", "-"))
         return handler(args)
     except ValueError as e:   # _Usage is one; an AssertionError is a bug
         print("error: %s" % e, file=sys.stderr)

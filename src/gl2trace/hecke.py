@@ -14,6 +14,15 @@ SymLaurent.evaluate sum integers: the coefficients over one common
 denominator, divided once per output value, so they are exact.  They
 take coefficients in Q[v] and raise TypeError on Q(i).  The tests keep
 ring-arithmetic oracles.
+
+convolve counts cosets once per distinct pair of key differences in a
+call, into a table of integer structure constants that every key pair
+with those differences reuses, since a double coset's translate by a
+central element has the same coset counts.  The Satake transform and
+the symmetric product have integer cores (_satake_parts,
+_product_parts) under their LaurentQ wrappers, and
+transform_is_multiplicative checks S(h1 * h2) = S(h1) S(h2) on the
+cores alone, cross-multiplying each side by the other's denominator.
 """
 
 import math
@@ -207,13 +216,16 @@ def _coefficient(tok):
 
 
 def convolve(h1, h2):
-    """Exact convolution with vol(K) = 1, via coset classes.
+    """Exact convolution with vol(K) = 1, via structure constants.
 
-    (f*g)(z) = sum over right-coset representatives x of the double
-    cosets in supp f of f(x) g(x^-1 z); only the Smith type of x^-1 z
-    matters, so representatives are processed in valuation classes.
-    Each key pair adds its integer coefficient product times the coset
-    count to an integer pair per output key, divided once at the end.
+    1_(a1,b1) * 1_(a2,b2) is 1_(m1,0) * 1_(m2,0) translated by the
+    central element diag(p^(b1+b2), p^(b1+b2)), where m = a - b: the
+    coset count that puts n on the output key (m1+m2-s, s) puts the same
+    n on (a1+a2-s, b1+b2+s).  So each call tabulates the counts once per
+    distinct unordered pair {m1, m2} (the algebra is commutative), in a
+    dict that lives only for the call, and each key pair adds its
+    integer coefficient product times n to an integer pair per output
+    key, divided once at the end.
     """
     if h1.field != h2.field:
         raise ValueError("mismatched base fields")
@@ -221,36 +233,49 @@ def convolve(h1, h2):
     q = field.q
     den1, parts1 = _integer_parts(h1.coeffs, "Hecke convolutions")
     den2, parts2 = _integer_parts(h2.coeffs, "Hecke convolutions")
+    tables = {}
     acc = {}
     for (a1, b1), (x1, y1) in parts1.items():
-        m1 = a1 - b1
-        classes = _coset_classes(q, m1)
         for (a2, b2), (x2, y2) in parts2.items():
+            m = (a1 - b1, a2 - b2) if a1 - b1 <= a2 - b2 else (a2 - b2, a1 - b1)
+            table = tables.get(m)
+            if table is None:
+                table = tables[m] = _structure_constants(q, *m)
             # (x1 + y1 v)(x2 + y2 v) with v^2 = q
             ca, cb = x1 * x2 + q * y1 * y2, x1 * y2 + y1 * x2
-            dd = a1 + b1 + a2 + b2
-            lo = b1 + b2
-            hi = a1 + a2
-            for bz in range(lo, (dd + 1) // 2 + (dd % 2 == 0)):
-                az = dd - bz
-                if az < bz or az > hi:
-                    continue
-                n = 0
-                for i, w, count in classes:
-                    j = m1 - i
-                    # Smith valuations of x^-1 z for x in the class,
-                    # z = diag(p^az, p^bz), both shifted back by b1
-                    terms = [az - b1 - i, bz - b1 - j]
-                    if w is not INF:
-                        terms.append(w + bz - b1 - m1)
-                    if min(terms) == b2:
-                        n += count
-                if n:
-                    sa, sb = acc.get((az, bz), (0, 0))
-                    acc[(az, bz)] = (sa + ca * n, sb + cb * n)
+            a, b = a1 + a2, b1 + b2
+            for s, n in table:
+                key = (a - s, b + s)
+                sa, sb = acc.get(key, (0, 0))
+                acc[key] = (sa + ca * n, sb + cb * n)
     den = den1 * den2
     return HeckeElement(field, {k: LaurentQ(Fraction(a, den), Fraction(b, den), q)
                                 for k, (a, b) in acc.items() if a or b})
+
+
+def _structure_constants(q, m1, m2):
+    """[(s, n)]: 1_(m1,0) * 1_(m2,0) = sum of n * 1_(m1+m2-s, s), where
+    0 <= s <= min(m1, m2): x = (xy) y^-1 has least elementary divisor 0,
+    so that of xy is at most m2, and likewise at most m1.
+
+    (f*g)(z) sums f(x) g(x^-1 z) over right-coset representatives x of
+    the double coset of diag(p^m1, 1); only the Smith type of x^-1 z
+    matters, so representatives are counted in valuation classes."""
+    classes = _coset_classes(q, m1)
+    out = []
+    for s in range(min(m1, m2) + 1):
+        n = 0
+        for i, w, count in classes:
+            # Smith valuations of x^-1 z for x in the class,
+            # z = diag(p^(m1+m2-s), p^s)
+            terms = [m1 + m2 - s - i, s - m1 + i]
+            if w is not INF:
+                terms.append(w + s - m1)
+            if min(terms) == 0:
+                n += count
+        if n:
+            out.append((s, n))
+    return out
 
 
 def _integer_parts(coeffs, kernel):
@@ -283,6 +308,30 @@ def _power_table(z, d, e):
         out.append((r * f, i * f))
         r, i = r * z[0] - i * z[1], r * z[1] + i * z[0]
     return out
+
+
+def _product_parts(q, parts1, parts2):
+    """Product of two tables {(i, j): (a, b)} of integer parts a + b v on
+    canonical keys, one coefficient product per pair, over the product
+    of their denominators.  (Y1^i1 Y2^j1 + sym)(Y1^i2 Y2^j2 + sym) has
+    the canonical term (i1+i2, j1+j2) and, when both factors are off the
+    diagonal, the cross term (i1+j2, j1+i2) up to order, which lands
+    twice on a diagonal key.  Keys that cancel stay, as (0, 0)."""
+    acc = {}
+    for (i1, j1), (x1, y1) in parts1.items():
+        for (i2, j2), (x2, y2) in parts2.items():
+            ca, cb = x1 * x2 + q * y1 * y2, x1 * y2 + y1 * x2
+            k = (i1 + i2, j1 + j2)
+            sa, sb = acc.get(k, (0, 0))
+            acc[k] = (sa + ca, sb + cb)
+            if i1 != j1 and i2 != j2:
+                a, b = i1 + j2, j1 + i2
+                if a == b:
+                    ca, cb = ca + ca, cb + cb
+                k = (a, b) if a >= b else (b, a)
+                sa, sb = acc.get(k, (0, 0))
+                acc[k] = (sa + ca, sb + cb)
+    return acc
 
 
 class SymLaurent:
@@ -338,32 +387,14 @@ class SymLaurent:
         return SymLaurent({k: v * c for k, v in self.coeffs.items()}, self.q)
 
     def __mul__(self, other):
-        """Product on canonical keys, one coefficient product per pair.
-        (Y1^i1 Y2^j1 + sym)(Y1^i2 Y2^j2 + sym) has the canonical term
-        (i1+i2, j1+j2) and, when both factors are off the diagonal, the
-        cross term (i1+j2, j1+i2) up to order, which lands twice on a
-        diagonal key.  Products of integer parts accumulate per key and
-        are divided once by the product of the two denominators."""
+        """Product on canonical keys (_product_parts on integer parts),
+        divided once by the product of the two denominators."""
         if not isinstance(other, SymLaurent):
             return self.scale(other)
         q = self.q if self.q is not None else other.q
         den1, parts1 = _integer_parts(self.coeffs, "SymLaurent products")
         den2, parts2 = _integer_parts(other.coeffs, "SymLaurent products")
-        qv = q or 0   # with no q there are no v-parts
-        acc = {}
-        for (i1, j1), (x1, y1) in parts1.items():
-            for (i2, j2), (x2, y2) in parts2.items():
-                ca, cb = x1 * x2 + qv * y1 * y2, x1 * y2 + y1 * x2
-                k = (i1 + i2, j1 + j2)
-                sa, sb = acc.get(k, (0, 0))
-                acc[k] = (sa + ca, sb + cb)
-                if i1 != j1 and i2 != j2:
-                    a, b = i1 + j2, j1 + i2
-                    if a == b:
-                        ca, cb = ca + ca, cb + cb
-                    k = (a, b) if a >= b else (b, a)
-                    sa, sb = acc.get(k, (0, 0))
-                    acc[k] = (sa + ca, sb + cb)
+        acc = _product_parts(q or 0, parts1, parts2)   # no q, no v-parts
         den = den1 * den2
         return SymLaurent({k: LaurentQ(Fraction(a, den), Fraction(b, den), q)
                            for k, (a, b) in acc.items() if a or b}, q)
@@ -464,13 +495,18 @@ def n_integral(h, m1, m2):
 
 def satake_transform(h):
     """S(h) = sum over m1 >= m2 of delta^(1/2) * (N-integral of h at
-    diag(p^m1, p^m2)) * Y1^m1 Y2^m2, exact for every h and q.  With
-    s = m1 + m2 that value is v^(m1-m2) [c_{m1,m2} + (q-1) T(m2)], where
-    T(m2) = sum_{d<m2} c_{s-d,d} q^(m2-d-1) = q T(m2-1) + c_{m2-1}: one
-    running sum down each diagonal, on the coefficients' integer parts
-    over one common denominator, divided once per key."""
+    diag(p^m1, p^m2)) * Y1^m1 Y2^m2, exact for every h and q."""
     q = h.field.q
     den, parts = _integer_parts(h.coeffs, "Satake transforms")
+    return SymLaurent({k: LaurentQ(Fraction(a, den), Fraction(b, den), q)
+                       for k, (a, b) in _satake_parts(q, parts).items()}, q)
+
+
+def _satake_parts(q, parts):
+    """S on integer parts, over the same denominator.  With s = m1 + m2
+    the value at (m1, m2) is v^(m1-m2) [c_{m1,m2} + (q-1) T(m2)], where
+    T(m2) = sum_{d<m2} c_{s-d,d} q^(m2-d-1) = q T(m2-1) + c_{m2-1}: one
+    running sum down each diagonal.  Only nonzero values are kept."""
     diagonals = {}
     for (a, b), ab in parts.items():
         diagonals.setdefault(a + b, {})[b] = ab
@@ -485,10 +521,29 @@ def satake_transform(h):
                 if odd:   # v^(2j+1) (xa + xb v) = q^j (q xb + xa v)
                     xa, xb = q * xb, xa
                 w = q ** j
-                out[(s - m2, m2)] = LaurentQ(Fraction(xa * w, den),
-                                             Fraction(xb * w, den), q)
+                out[(s - m2, m2)] = (xa * w, xb * w)
             ta, tb = q * ta + ca, q * tb + cb
-    return SymLaurent(out, q)
+    return out
+
+
+def transform_is_multiplicative(h1, h2, prod):
+    """S(prod) == S(h1) * S(h2), the homomorphism property that checks a
+    convolution prod = h1 * h2.  Both sides stay integer tables over a
+    known denominator (that of prod, and den1 * den2) and are compared
+    key by key by cross-multiplication, with no coefficient built."""
+    q = prod.field.q
+    den1, parts1 = _integer_parts(h1.coeffs, "Satake transforms")
+    den2, parts2 = _integer_parts(h2.coeffs, "Satake transforms")
+    den, parts = _integer_parts(prod.coeffs, "Satake transforms")
+    lhs = _satake_parts(q, parts)
+    rhs = _product_parts(q, _satake_parts(q, parts1), _satake_parts(q, parts2))
+    n = den1 * den2
+    for key in lhs.keys() | rhs.keys():
+        la, lb = lhs.get(key, (0, 0))
+        ra, rb = rhs.get(key, (0, 0))
+        if la * n != ra * den or lb * n != rb * den:
+            return False
+    return True
 
 
 def inverse_satake(poly, field=None):

@@ -144,16 +144,13 @@ def phi_transform(h, a):
     return n_integral(h, a.m1, a.m2) * a.h_value()
 
 
-def measure_phi_exponent(h, a):
-    """Solve phi = H^x * f_G for x on a class with H != 1; returns the
-    measured exponent as a Fraction, or None when the data cannot
-    determine it (H = 1 or vanishing orbital)."""
-    if a.m1 == a.m2:
+def measure_phi_exponent(a, phi, f):
+    """Solve phi = H^x * f for x on the class a with H != 1, given
+    phi = Phi(a) and f = f_G(a) of one h; returns the measured exponent
+    as a Fraction, or None when the data cannot determine it (H = 1 or
+    vanishing orbital)."""
+    if a.m1 == a.m2 or not f:
         return None
-    f = split_orbital(h, a)
-    if not f:
-        return None
-    phi = phi_transform(h, a)
     ratio = phi * f.inverse()
     # expect a pure power of v: ratio = v^k
     if ratio.a and ratio.b:

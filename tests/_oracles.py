@@ -1,7 +1,8 @@
 """Code that only tests use: earlier implementations kept as oracles for
 the kernels that replaced them, samplers, the character and S-class
 group evaluations that no subcommand calls, the trivial Satake
-parameter, and the Eichler-Selberg trace formula as a second path to
+parameter, damaged Hecke products for the convolve self-check, and the
+Eichler-Selberg trace formula as a second path to
 tau.  As in gl2trace.chargroup, a character is its exponent tuple, a
 group function is the list of its values in group.elements() order, and
 a subgroup is given by a list of generators."""
@@ -12,8 +13,8 @@ from fractions import Fraction
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
                                 _cyclo_reduce, annihilator, kronecker,
                                 subgroup_generated)
-from gl2trace.hecke import SatakeParameter
-from gl2trace.rings import QiNumber
+from gl2trace.hecke import HeckeElement, SatakeParameter
+from gl2trace.rings import LaurentQ, QiNumber
 
 
 # -- characters and cyclotomics ---------------------------------------------
@@ -218,6 +219,18 @@ def trivial_parameter():
 
 
 # -- assembly ---------------------------------------------------------------
+
+
+def damaged_products(prod):
+    """three wrong products near a nonzero prod: one key's v-part
+    perturbed, one key added, one key dropped"""
+    q = prod.field.q
+    key = prod.support()[0]
+    bent, extra, dropped = dict(prod.coeffs), dict(prod.coeffs), dict(prod.coeffs)
+    bent[key] = bent[key] + LaurentQ(0, Fraction(1, 7), q)
+    extra[(9, -9)] = LaurentQ(1, 0, q)
+    del dropped[key]
+    return [HeckeElement(prod.field, c) for c in (bent, extra, dropped)]
 
 
 def format_pieces(pieces):

@@ -131,7 +131,8 @@ def test_c05_phi_relation():
                         != LaurentQ.v_power(g.m2 - g.m1, q) * split_orbital(h, g):
                     _verdict(5, "phi-half-exponent", False,
                              "q=%d class=%r" % (q, g))
-                e = measure_phi_exponent(h, g)
+                e = measure_phi_exponent(g, phi_transform(h, g),
+                                         split_orbital(h, g))
                 if e is not None:
                     measured.add(e)
     _verdict(5, "phi-half-exponent", measured == {Fraction(1, 2)},

@@ -16,8 +16,9 @@ from gl2trace import cli
 from gl2trace.chargroup import FiniteAbelianGroup
 from gl2trace.cli import run
 from gl2trace.hecke import HeckeElement, LocalField
+from gl2trace.rings import LaurentQ
 
-from _oracles import format_group_function
+from _oracles import damaged_products, format_group_function
 
 
 @pytest.fixture
@@ -57,6 +58,27 @@ def test_convolve_roundtrip(tp3, tmp_path, capsys):
     want = (HeckeElement.char(fld, (2, 0))
             + HeckeElement.char(fld, (1, 1), 4))
     assert back == want
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_convolve_self_check_fails(which, tmp_path, monkeypatch, capsys):
+    """a product with one key's v-part perturbed, one key added or one
+    key dropped fails the homomorphism self-check with exit 1"""
+    field = LocalField(3)
+    h1 = HeckeElement(field, {(1, 0): 1, (2, -1): LaurentQ(Fraction(1, 2), 2, 3)})
+    h2 = HeckeElement(field, {(0, 0): 3, (3, 1): LaurentQ(0, -1, 3)})
+    paths = []
+    for i, h in enumerate((h1, h2)):
+        paths.append(tmp_path / ("h%d.hecke" % i))
+        paths[-1].write_text(h.to_text())
+    real = cli.convolve
+    monkeypatch.setattr(cli, "convolve",
+                        lambda f, g: damaged_products(real(f, g))[which])
+    out = tmp_path / "prod.hecke"
+    assert run(["convolve", "--q", "3", "--in", str(paths[0]),
+                "--in2", str(paths[1]), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL transform of the product differs from the product of transforms\n")
 
 
 def test_basic_fn(capsys):
@@ -616,6 +638,30 @@ def test_valid_command_builds_one_subparser(monkeypatch, capsys):
     assert run(["--help"]) == 0
     assert names == list(cli.COMMANDS)
     capsys.readouterr()
+
+
+def test_missing_value_names_the_flag(tmp_path, capsys):
+    """each required flag left out, with every other one given, is named
+    as typed on the command line; the same name is its --config key"""
+    cfg = tmp_path / "run.cfg"
+    cases = 0
+    for name, (_, flags) in cli.COMMANDS.items():
+        required = [flag for flag, spec in flags.items() if spec.get("required")]
+        for missing in required:
+            argv = [name]
+            for flag in required:
+                if flag != missing:
+                    argv += ["--" + flag.replace("_", "-"), "1"]
+            assert run(argv) == 2, argv
+            shown = "--" + missing.replace("_", "-")
+            assert capsys.readouterr() == (
+                "", "error: missing a value for %s\n" % shown), argv
+            if missing != "config":   # the file that --config names
+                cfg.write_text("%s = 1\n" % shown[2:])
+                run(argv + ["--config", str(cfg)])
+                assert "missing a value" not in capsys.readouterr().err, argv
+            cases += 1
+    assert cases == 26
 
 
 def test_usage_errors(capsys):

@@ -18,10 +18,10 @@ import gl2trace
 from gl2trace.hecke import (HeckeElement, LocalField, SatakeParameter,
                             SymLaurent, _coset_classes, convolve, coset_degree,
                             inverse_satake, n_integral, satake_transform,
-                            spherical_trace)
+                            spherical_trace, transform_is_multiplicative)
 from gl2trace.rings import LaurentQ, QiNumber
 
-from _oracles import trivial_parameter
+from _oracles import damaged_products, trivial_parameter
 
 INF = 10 ** 9
 
@@ -175,6 +175,18 @@ def oracle_convolve(field, key1, key2):
     (3, (1, 0), (2, 1)),
     (3, (2, 0), (1, 0)),
     (5, (1, 0), (1, 0)),
+    # a - b up to 4 and shifted or negative b, in both orders: the
+    # translation by diag(p^(b1+b2), p^(b1+b2)) that convolve's table of
+    # structure constants relies on, against explicit matrices
+    (2, (3, 1), (2, -1)),
+    (3, (3, 1), (2, -1)),
+    (3, (2, -1), (3, 1)),
+    (2, (2, -2), (3, 0)),
+    (3, (2, -2), (3, 0)),
+    (2, (3, 0), (3, 0)),
+    (3, (3, 0), (3, 0)),
+    (3, (0, -3), (1, 1)),
+    (2, (1, 1), (3, 0)),
 ])
 def test_convolution_matches_matrix_oracle(q, key1, key2):
     field = LocalField(q)
@@ -290,6 +302,23 @@ def test_satake_is_multiplicative(q):
                                  for k in rng.sample(keys, 3)})
         g = HeckeElement(field, {k: rng.randrange(-4, 5) for k in rng.sample(keys, 3)})
         assert satake_transform(f * g) == satake_transform(f) * satake_transform(g)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_integer_self_check_matches_transforms(q):
+    """the integer-parts check says what comparing S(prod) with
+    S(h1) * S(h2) as SymLaurents says: true for the product, false for
+    each damaged one"""
+    rng = random.Random(2000 + q)
+    field = LocalField(q)
+    for _ in range(10):
+        h1, h2 = random_hecke(rng, field), random_hecke(rng, field)
+        prod = convolve(h1, h2)
+        prods = [prod] + damaged_products(prod)
+        want = satake_transform(h1) * satake_transform(h2)
+        verdicts = [transform_is_multiplicative(h1, h2, p) for p in prods]
+        assert verdicts == [satake_transform(p) == want for p in prods]
+        assert verdicts == [True, False, False, False]
 
 
 def naive_evaluate(poly, y1, y2):

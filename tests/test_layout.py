@@ -2,10 +2,13 @@
 method in src/gl2trace is referenced somewhere in src/ outside its own
 definition, apart from the names that the benchmark harness pins from
 outside.  (cli.main, the console script of pyproject.toml, is also what
-`python -m gl2trace.cli` calls.)"""
+`python -m gl2trace.cli` calls.)  It also has no `assert` statement, so
+python -O drops no check."""
 
 import ast
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import gl2trace
@@ -79,3 +82,48 @@ def test_pinned_names_are_pinned():
     for label, (path, line) in PINNED.items():
         with open(os.path.join(ROOT, path)) as fh:
             assert line in fh.read(), (label, path)
+
+
+def test_no_assert_statements():
+    found = [(mod, n.lineno) for mod, tree in _trees().items()
+             for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_internal_invariants_survive_optimize():
+    """a broken internal invariant raises RuntimeError, not ValueError (which
+    the CLI reports as a usage error, exit 2), with python -O as without.
+    Each invariant is broken from outside: a degree whose products come
+    out one too long, a non-monic or non-dividing divisor, a trace with a
+    v-part, a Hilbert symbol that is always -1."""
+    code = ("from gl2trace import basicfn, chargroup\n"
+            "from gl2trace.basicfn import RepSpec\n"
+            "from gl2trace.rings import LaurentQ\n"
+            "class Long(int):\n"
+            "    def __mul__(self, j):\n"
+            "        return int(self) * j + 1\n"
+            "def vpart(h, c):\n"
+            "    return LaurentQ(1, 1, 2)\n"
+            "def minus(a, b, p):\n"
+            "    return -1\n"
+            "basicfn.spherical_trace, chargroup.hilbert_symbol = vpart, minus\n"
+            "for call in (lambda: basicfn.symn_trace(RepSpec(1), Long(1)),\n"
+            "             lambda: basicfn._trace_value(None, None),\n"
+            "             lambda: chargroup._poly_divexact([1, 0, 1], [1, 2]),\n"
+            "             lambda: chargroup._poly_divexact([1, 0, 1], [1, 1]),\n"
+            "             lambda: chargroup.class_group_mod_squares(['inf', '3'])):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except Exception as e:\n"
+            "        print(type(e).__name__, e)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "RuntimeError weight multiset is not Weyl-stable",
+            "RuntimeError trace of a basic-function coefficient kept a v-part",
+            "RuntimeError cyclotomic divisors are monic",
+            "RuntimeError inexact cyclotomic division",
+            "RuntimeError dual size 0 does not match group order 2"], flags

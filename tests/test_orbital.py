@@ -274,7 +274,7 @@ def test_phi_relation_half_exponent(q):
             f = split_orbital(h, g)
             half = LaurentQ.v_power(g.m2 - g.m1, q)
             assert phi_transform(h, g) == half * f
-            x = measure_phi_exponent(h, g)
+            x = measure_phi_exponent(g, phi_transform(h, g), f)
             if x is not None:
                 measured.add(x)
                 if g.m1 != g.m2:
