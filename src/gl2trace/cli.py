@@ -303,22 +303,30 @@ def _table_x(x):
     return x
 
 
-def _cmd_tau(args):
-    table = delta_qexpansion(_table_x(args.x))
+def _tau_checked(table):
+    """the kernel's tau(p) table against tau(2) = -24, Deligne's bound and
+    Ramanujan's congruence mod 691; prints the first FAIL line it finds"""
     if table.ap(2) != -24:
         print("FAIL tau(2) = %d from the %s kernel" % (table.ap(2), BACKEND))
-        return FAIL
+        return False
     for p in table.primes():
         a = table.ap(p)
         p11 = p ** 11
         if a * a > 4 * p11:
             print("FAIL tau(%d) = %d breaks Deligne's bound tau(p)^2 <= 4p^11"
                   % (p, a))
-            return FAIL
+            return False
         if (a - 1 - p11) % 691:
             print("FAIL tau(%d) = %d breaks Ramanujan's congruence "
                   "tau(p) = 1 + p^11 mod 691" % (p, a))
-            return FAIL
+            return False
+    return True
+
+
+def _cmd_tau(args):
+    table = delta_qexpansion(_table_x(args.x))
+    if not _tau_checked(table):
+        return FAIL
     _write_out(args, table.to_csv())
     return OK
 
@@ -346,7 +354,10 @@ def _cmd_estimate_mr(args):
     x = _table_x(args.x)
     rep = _r_flag(args.r, parse_weighting)
     ns = _n_grid(args.n_grid, x)
-    rows = estimator_series(rep, delta_qexpansion(x), ns)
+    table = delta_qexpansion(x)
+    if not _tau_checked(table):
+        return FAIL
+    rows = estimator_series(rep, table, ns)
     _write_out(args, format_estimates(rows))
     return OK
 

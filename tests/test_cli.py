@@ -308,6 +308,20 @@ def test_tau_congruence_failure(monkeypatch, capsys):
                    "tau(p) = 1 + p^11 mod 691\n")
 
 
+def test_estimate_mr_checks_the_table(monkeypatch, capsys):
+    " estimate-mr reads the same checked table as tau: a forged tau(p) fails "
+    from gl2trace import spectral
+    good = spectral.tau_table
+
+    def forged(x, ns):
+        return [4831 if n == 5 else t for n, t in zip(ns, good(x, ns))]
+    monkeypatch.setattr(spectral, "tau_table", forged)
+    assert run(["estimate-mr", "--x", "30", "--n-grid", "10,30"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL tau(5) = 4831 breaks Ramanujan's congruence "
+        "tau(p) = 1 + p^11 mod 691\n")
+
+
 @pytest.mark.parametrize("grid", ["100,abc", "50,1000", "2,50", "0,50"])
 def test_estimate_mr_grid_checked_before_kernel(grid, monkeypatch, capsys):
     from gl2trace import spectral

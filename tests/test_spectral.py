@@ -88,6 +88,15 @@ def kronecker_square(c):
             for i in range(0, w * n, w)]
 
 
+def square_truncated(c):
+    """The kernel's pack, square and read on a list: the first len(c)
+    coefficients of the square of c.  Empties c as it is packed."""
+    n = len(c)
+    d = kernels._slot_digits(c)
+    digits = kernels._square(kernels._pack(c, d), d, n)
+    return kernels._read(digits, d, range(n))
+
+
 def kronecker_tau(x):
     " tau(1..x) by three full Kronecker squarings of eta^3 "
     if x < 1:
@@ -175,7 +184,7 @@ def test_square_matches_byte_slot_oracle():
             for x in width_steps(c, slot_width):
                 xs.update((x - 1, x))
         for x in sorted(xs):
-            assert (kernels._square_truncated(c[:x])
+            assert (square_truncated(c[:x])
                     == byte_square_truncated(c[:x])), x
 
 
@@ -198,7 +207,7 @@ def test_square_at_the_slot_bound():
                 want = [sum(c[i] * c[k - i] for i in range(k + 1))
                         for k in range(n)]
                 arg = list(c)
-                assert kernels._square_truncated(arg) == want, (n, m, sign)
+                assert square_truncated(arg) == want, (n, m, sign)
                 assert arg == []
                 assert byte_square_truncated(list(c)) == want, (n, m, sign)
 
@@ -211,7 +220,7 @@ def test_square_with_a_zero_low_half():
         for m in (1, 4, 5, 9, 10, 99, 10 ** 6, 10 ** 20):
             for sign in (1, -1):
                 c = [0] * ((n + 1) // 2) + [sign * m] * (n // 2)
-                assert kernels._square_truncated(c) == [0] * n, (n, m, sign)
+                assert square_truncated(c) == [0] * n, (n, m, sign)
 
 
 def test_slot_widths_at_10k():
@@ -222,6 +231,35 @@ def test_slot_widths_at_10k():
     eta12 = kronecker_square(eta6)
     assert [kernels._slot_digits(c) for c in (eta6, eta12)] == [14, 26]
     assert [byte_slot_bytes(c) for c in (eta6, eta12)] == [6, 11]
+
+
+def test_packed_width_matches_the_decoded_list():
+    """The second width, taken from the eta^12 digits the first square
+    leaves, equals _slot_digits of the eta^12 list they decode to, on
+    both sides of every x <= 5000 where either stage changes width."""
+    top = 5000
+    eta6 = kernels._eta6(top)
+    eta12 = kronecker_square(eta6)
+    xs = set()
+    for c in (eta6, eta12):
+        for x in width_steps(c):
+            xs.update((x - 1, x))
+    for x in sorted(xs):
+        d = kernels._slot_digits(eta6[:x])
+        digits = kernels._square(kernels._pack(eta6[:x], d), d, x)
+        want = kernels._slot_digits(eta12[:x])
+        assert kernels._packed_slot_digits(digits, d) == want, x
+        assert want >= d, x
+
+
+def test_offsets_by_doubling():
+    """The repunit built by doubling, times the offset, against its digit
+    string, for every n <= 300 and d <= 30 and at the widths of x = 10^4."""
+    dns = [(d, n) for d in range(1, 31) for n in range(1, 301)]
+    for d, n in dns + [(14, 10 ** 4), (26, 10 ** 4)]:
+        got = kernels._offsets(d, n, 5 * 10 ** (d - 1))
+        want = kernels._EXACT.create_decimal(("5" + "0" * (d - 1)) * n)
+        assert str(got) == str(want), (d, n)
 
 
 def test_square_raises_when_the_context_would_round(monkeypatch):
@@ -237,18 +275,39 @@ def test_square_raises_when_the_context_would_round(monkeypatch):
         monkeypatch.setattr(kernels, "_EXACT", kernels._EXACT.copy())
         kernels._EXACT.prec = prec
         with pytest.raises((decimal.Rounded, decimal.Inexact)):
-            kernels._square_truncated(list(c))
+            square_truncated(list(c))
 
 
-def test_tau_kernel_memory():
-    " traced peak of tau_table(10^4), the returned list included "
+def test_second_square_raises_when_the_context_would_round(monkeypatch):
+    """A precision that holds the eta^12 product, and the eta^12 digits
+    packed at the second width, but not the eta^24 product: tau_table
+    raises instead of returning a table."""
+    x = 500
+    c = kernels._eta6(x)
+    d = kernels._slot_digits(c)
+    w = kernels._slot_digits(kronecker_square(list(c)))
+    prec = 2 * d * x                        # |a| < 10^(d x) for eta^6
+    assert w * x <= prec < 2 * w * (x - 1)  # the eta^24 square has more
+    monkeypatch.setattr(kernels, "_EXACT", kernels._EXACT.copy())
+    kernels._EXACT.prec = prec
+    assert square_truncated(list(c)) == kronecker_square(list(c))
+    with pytest.raises((decimal.Rounded, decimal.Inexact)):
+        tau_table(x)
+
+
+@pytest.mark.parametrize("read", ["table", "primes"])
+def test_tau_kernel_memory(read):
+    """traced peak of tau_table(10^4), whole or read at the primes, the
+    returned list and the kernel's copy of the primes included"""
+    x = 10 ** 4
+    ns = None if read == "table" else primes_below(x + 1)
     tracemalloc.start()
     try:
-        tau = tau_table(10 ** 4)
+        tau = tau_table(x, ns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(tau) == 10 ** 4
+    assert len(tau) == (x if ns is None else 1229)
     assert peak <= 10 ** 6, peak
 
 
