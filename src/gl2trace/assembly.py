@@ -11,6 +11,7 @@ unipotent average Phi; relating them analytically is out of scope.
 import math
 import os
 from fractions import Fraction
+from operator import mul
 
 from .chargroup import (class_group_mod_squares, hilbert_symbol, kronecker,
                         normalize_places)
@@ -329,19 +330,27 @@ def _local_spectral_factor(h, d, p):
 def one_dim_spectral(f, constants=None):
     """(1/volGbar) * sum over quadratic characters chi of D_S of the
     product of exact local group integrals of f * conj(chi)(det), times
-    the sign-decomposed Phi-profile mass at infinity."""
+    the sign-decomposed Phi-profile mass at infinity.  The integral at p
+    depends on chi_d only through kronecker(d, p), so each call computes
+    it once per (p, Kronecker value), in a dict that lives for the call."""
     c = constants or NormalizationConstants()
     sg = f.class_group()
     mp_ = f.phi_profile.mass(1)
     mm = f.phi_profile.mass(-1)
+    local = [(p, f.local(p)) for p in f.finite_places]
+    factors = {}   # (p, kronecker(d, p)) -> the group integral at p
     total = Fraction(0)
     for ch in sg.quad_chars:
         term = Fraction(1)
-        for p in f.finite_places:
+        for p, h in local:
             if not ch.unramified_at(p):
                 term = Fraction(0)
                 break
-            term *= _local_spectral_factor(f.local(p), ch.d, p)
+            key = (p, kronecker(ch.d, p))
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = _local_spectral_factor(h, ch.d, p)
+            term *= factor
         if term:
             total += term * (mp_ + ch.sign_value() * mm)
     return total / c.vol_gbar
@@ -391,19 +400,28 @@ def residual_geometric(f):
 def residual_breakdown(f):
     """Per character chi_d: -(1/4)(1/|D_S|) * sum over the torus support
     of Phi(t) * psi_d(t), where psi_d(t) is the product over v in S of
-    the local Hilbert symbols (c_d, t)_v, each computed independently."""
+    the local Hilbert symbols (c_d, t)_v.  The Hilbert symbol is
+    multiplicative in its first argument, and c_d is a squarefree product
+    of the units of S (-1 and the finite primes), so each call computes
+    psi_u(t) once per unit u and torus point t, and psi_d(t) is the
+    product of psi_u(t) over the units u dividing c_d.  The Phi values
+    are scaled to integers over one common denominator D, so each
+    character's sum is an integer sum, divided once."""
     _require_residual_places(f)
     sg = f.class_group()
     rows = f.torus_rows()
+    den = math.lcm(*(pv.denominator for _, _, pv in rows))
+    ints = [pv.numerator * (den // pv.denominator) for _, _, pv in rows]
+    psi_unit = {u: [math.prod(hilbert_symbol(u, t, v) for v in sg.places)
+                    for t, _, _ in rows]
+                for u in [-1] + sg.places[1:]}
     out = []
     for ch in sg.quad_chars:
-        s = Fraction(0)
-        for t, _, pv in rows:
-            psi = 1
-            for v in sg.places:
-                psi *= hilbert_symbol(ch.c, t, v)
-            s += pv * psi
-        out.append((ch.d, -Fraction(1, 4) * s / sg.group.order))
+        terms = ints   # Phi(t) * psi_d(t) * D
+        for u, psi in psi_unit.items():
+            if ch.c < 0 if u == -1 else ch.c % u == 0:
+                terms = list(map(mul, terms, psi))
+        out.append((ch.d, Fraction(-sum(terms), 4 * den * sg.group.order)))
     return out
 
 

@@ -4,19 +4,26 @@ Two layers.  The abstract layer: finite abelian groups as tuples of
 cyclic orders, characters valued in exact cyclotomics, Fourier sums,
 and the finite Poisson identity; there an element or a character is an
 exponent tuple, a group function is its list of values in elements()
-order, and a subgroup is a list of generators.  The arithmetic layer:
-the group D_S = prod over v in S of Q_v^x / squares, modulo the
-diagonal S-units H_S.  Its characters are the annihilator of H_S under
-the Hilbert pairing, one quadratic character of discriminant supported
-in S each, and they are tabulated by exact Hilbert symbols place by place.
+order, and a subgroup is a list of generators.  A pairing of one fixed
+tuple with every element, in elements() order, is built axis by axis as
+an outer sum (_linear_residues): the zeta exponents of a character for a
+Fourier sum, and the pairings of a generator with every character for an
+annihilator.  Function values are read by rings.rational, which returns
+what Fraction(str) returns without its regular expression.
+
+The arithmetic layer: the group D_S = prod over v in S of Q_v^x /
+squares, modulo the diagonal S-units H_S.  Its characters are the
+annihilator of H_S under the Hilbert pairing, one quadratic character of
+discriminant supported in S each, and they are tabulated by exact
+Hilbert symbols place by place.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from operator import contains
+from operator import contains, not_, or_
 
-from .rings import valuation
+from .rings import rational, valuation
 
 INF_PLACE = "inf"
 
@@ -256,15 +263,22 @@ def _rational(v):
     raise TypeError("fourier needs rational function values, got %r" % (v,))
 
 
+def _linear_residues(orders, coeffs, L):
+    """[sum of c_i x_i mod L for x in elements() order] for the cyclic
+    orders n_i and coefficients c_i: an outer sum, built axis by axis"""
+    out = [0]
+    for c, n in zip(coeffs, orders):
+        steps = [k * c for k in range(n)]
+        out = [(e + s) % L for e in out for s in steps]
+    return out
+
+
 def _add_character(buckets, ints, group, exps):
     """buckets[e] += ints[g] wherever conj(psi(g)) = zeta_L^e, for the
     character psi with exponents exps; ints in element order"""
     L = group.exponent
-    expo = [0]
-    for a, n in zip(exps, group.orders):
-        w = -a * (L // n)
-        steps = [k * w for k in range(n)]
-        expo = [(e + s) % L for e in expo for s in steps]
+    expo = _linear_residues(group.orders,
+                            [-a * (L // n) for a, n in zip(exps, group.orders)], L)
     for e, v in zip(expo, ints):
         buckets[e] += v
 
@@ -306,12 +320,17 @@ def subgroup_generated(group, gens):
 def annihilator(group, gens):
     """exponent tuples of the characters trivial on the subgroup that gens
     generate, in element order: a character is trivial there exactly
-    when it is trivial on each generator"""
+    when it is trivial on each generator.  For each generator h, the
+    pairings <a, h> = sum of a_i h_i L/n_i mod L of all characters a come
+    as one list in element order (_linear_residues); a character is kept
+    where every generator's list reads 0."""
     L = group.exponent
-    weights = [L // n for n in group.orders]
-    gens = [[w * x for w, x in zip(weights, h)] for h in gens]
-    return [a for a in group.elements()
-            if all(sum(x * y for x, y in zip(a, h)) % L == 0 for h in gens)]
+    hits = [0] * group.order
+    for h in gens:
+        pairing = _linear_residues(group.orders,
+                                   [x * (L // n) for x, n in zip(h, group.orders)], L)
+        hits = list(map(or_, hits, pairing))
+    return list(itertools.compress(group.elements(), map(not_, hits)))
 
 
 def poisson_check(group, gens, f):
@@ -633,7 +652,7 @@ def parse_group_function(text):
     number, or else the first missing element, found with no walk over the
     group.  One pass: each line is split once, an element's coordinates
     are checked against the cyclic orders (no element set is built), and
-    each distinct value token is read by Fraction(str) once per call."""
+    each distinct value token is read by rings.rational once per call."""
     group = None
     values = {}
     read = {}   # value token -> its Fraction, for this call only
@@ -653,7 +672,7 @@ def parse_group_function(text):
                     raise ValueError("duplicate element %s" % toks[1])
                 v = read.get(toks[2])
                 if v is None:
-                    v = read[toks[2]] = Fraction(toks[2])
+                    v = read[toks[2]] = rational(toks[2])
                 values[elem] = v
             elif toks[0] == "group":
                 if group is not None:

@@ -28,7 +28,7 @@ cores alone, cross-multiplying each side by the other's denominator.
 import math
 from fractions import Fraction
 
-from .rings import LaurentQ, QiNumber
+from .rings import LaurentQ, QiNumber, rational
 
 INF = None  # valuation of zero
 
@@ -210,7 +210,7 @@ def _table_text(q, coeffs):
 
 def _coefficient(tok):
     try:
-        return Fraction(tok)
+        return rational(tok)
     except ZeroDivisionError:
         raise ValueError("coefficient %s has denominator 0" % tok) from None
 

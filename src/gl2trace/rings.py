@@ -11,10 +11,11 @@ Two small rings cover every exact value in the package:
   QiNumber  -- the Gaussian rationals Q(i), for unit-circle Satake
                parameters and L-factor coefficients.
 
-All arithmetic is exact (stdlib Fraction underneath).  q = None marks a
-plain rational constant that has not been tied to a residue cardinality
-yet; such values must have zero v-part and absorb the q of the other
-operand.
+All arithmetic is exact (stdlib Fraction underneath), and text values are
+read by rational(token), which returns what Fraction(token) returns.
+q = None marks a plain rational constant that has not been tied to a
+residue cardinality yet; such values must have zero v-part and absorb
+the q of the other operand.
 """
 
 import math
@@ -35,6 +36,25 @@ def valuation(x, p):
         d //= p
         v -= 1
     return v, (n if d == 1 else Fraction(n, d))
+
+
+def _ascii_digits(s):
+    return s.isascii() and s.isdigit()
+
+
+def rational(token):
+    """Fraction(token) for a str token, with the same value, or the same
+    exception type and message.  A token 'n' or 'n/d' of ASCII digits,
+    with an optional '-' before n, is read by int() and skips Fraction's
+    regular expression; any other token goes to Fraction(token) itself.
+    Fraction(token) calls int() on the same digits and then checks d the
+    same way, so a token past int()'s digit limit, or with d = 0, raises
+    the same error."""
+    num, slash, den = token.partition("/")
+    if (_ascii_digits(num[1:] if num.startswith("-") else num)
+            and (not slash or _ascii_digits(den))):
+        return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(token)
 
 
 def fr(x):

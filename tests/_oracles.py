@@ -1,8 +1,9 @@
 """Code that only tests use: earlier implementations kept as oracles for
 the kernels that replaced them, samplers, the character and S-class
 group evaluations that no subcommand calls, the trivial Satake
-parameter, damaged Hecke products for the convolve self-check, and the
-Eichler-Selberg trace formula as a second path to
+parameter, damaged Hecke products for the convolve self-check, the
+residual and one-dimensional sums computed character by character, and
+the Eichler-Selberg trace formula as a second path to
 tau.  As in gl2trace.chargroup, a character is its exponent tuple, a
 group function is the list of its values in group.elements() order, and
 a subgroup is given by a list of generators."""
@@ -10,9 +11,10 @@ a subgroup is given by a list of generators."""
 import math
 from fractions import Fraction
 
+from gl2trace.assembly import NormalizationConstants, _local_spectral_factor
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
-                                _cyclo_reduce, annihilator, kronecker,
-                                subgroup_generated)
+                                _cyclo_reduce, annihilator, hilbert_symbol,
+                                kronecker, subgroup_generated)
 from gl2trace.hecke import HeckeElement, SatakeParameter
 from gl2trace.rings import LaurentQ, QiNumber
 
@@ -231,6 +233,41 @@ def damaged_products(prod):
     extra[(9, -9)] = LaurentQ(1, 0, q)
     del dropped[key]
     return [HeckeElement(prod.field, c) for c in (bent, extra, dropped)]
+
+
+def residual_breakdown_oracle(f, symbol=hilbert_symbol):
+    """assembly.residual_breakdown as it was before the per-unit tables:
+    psi_d(t) is the product over v in S of symbol(c_d, t, v), one Hilbert
+    symbol per character, torus point and place"""
+    sg = f.class_group()
+    out = []
+    for ch in sg.quad_chars:
+        s = Fraction(0)
+        for t, _, pv in f.torus_rows():
+            psi = 1
+            for v in sg.places:
+                psi *= symbol(ch.c, t, v)
+            s += pv * psi
+        out.append((ch.d, -Fraction(1, 4) * s / sg.group.order))
+    return out
+
+
+def one_dim_spectral_oracle(f, constants=None):
+    """assembly.one_dim_spectral as it was before the per-place table:
+    one _local_spectral_factor call per character and place"""
+    c = constants or NormalizationConstants()
+    mp_, mm = f.phi_profile.mass(1), f.phi_profile.mass(-1)
+    total = Fraction(0)
+    for ch in f.class_group().quad_chars:
+        term = Fraction(1)
+        for p in f.finite_places:
+            if not ch.unramified_at(p):
+                term = Fraction(0)
+                break
+            term *= _local_spectral_factor(f.local(p), ch.d, p)
+        if term:
+            total += term * (mp_ + ch.sign_value() * mm)
+    return total / c.vol_gbar
 
 
 def format_pieces(pieces):

@@ -24,7 +24,8 @@ from gl2trace.chargroup import (class_group_mod_squares, hilbert_symbol,
 from gl2trace.hecke import HeckeElement, LocalField
 from gl2trace.rings import LaurentQ
 
-from _oracles import format_pieces, project
+from _oracles import (format_pieces, one_dim_spectral_oracle, project,
+                      residual_breakdown_oracle)
 
 INF = "inf"
 
@@ -544,6 +545,81 @@ def test_residual_random_profiles():
                                f_profile=rnd_profile(),
                                phi_profile=rnd_profile())
         assert residual_spectral(f) == residual_geometric(f)
+
+
+# S = {inf} plus up to five finite places; each set with 2 also has a
+# residual term
+ORACLE_PLACE_SETS = [[2], [3], [2, 3], [3, 5], [2, 5, 7], [2, 3, 5, 7],
+                     [3, 5, 7, 11], [2, 3, 5, 7, 11]]
+
+
+def random_test_function(rng, primes):
+    """random Hecke factors (some absent) and piecewise-constant profiles
+    wide enough to hold most torus points"""
+    def profile():
+        return ArchProfile(
+            pos=((-12, 0, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))]),
+                 (0, 12, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))])),
+            neg=((-9, 9, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))]),))
+    hecke = {}
+    for p in primes:
+        if rng.random() < 0.8:
+            fld = LocalField(p)
+            k1, k2 = rng.sample([(0, 0), (1, 0), (1, 1), (0, -1), (2, 0)], 2)
+            hecke[p] = (HeckeElement.char(fld, k1, rng.randint(1, 3))
+                        + HeckeElement.char(fld, k2, rng.randint(-3, 3)))
+    return GlobalTestFunction([INF] + primes, hecke=hecke,
+                              f_profile=profile(), phi_profile=profile())
+
+
+@pytest.mark.parametrize("primes", ORACLE_PLACE_SETS)
+def test_assembly_sums_match_per_character_oracles(monkeypatch, primes):
+    """the residual breakdown from per-unit tables and the one-dimensional
+    term from one local factor per Kronecker value equal the sums taken
+    character by character, with a Hilbert symbol per (c_d, t, v) and a
+    local factor per (character, place).  By reciprocity every psi_d is 1
+    on the torus points, so the breakdowns are also compared under the
+    symbol with one place v0 left out: still multiplicative in c, it makes
+    psi_d(t) = (c_d, t)_v0, which varies with d."""
+    rng = random.Random(sum(primes))
+    ramified = varied = 0
+    for _ in range(3):
+        f = random_test_function(rng, primes)
+        chars = f.class_group().quad_chars
+        ramified += sum(not ch.unramified_at(p) for ch in chars for p in primes)
+        consts = NormalizationConstants(vol_k=rng.randint(1, 3), vol_gbar=rng.randint(1, 3))
+        assert one_dim_spectral(f, consts) == one_dim_spectral_oracle(f, consts)
+        if 2 not in primes:
+            continue
+        assert residual_breakdown(f) == residual_breakdown_oracle(f)
+        assert residual_spectral(f) == residual_geometric(f)
+        for v0 in f.places:
+            def symbol(a, b, v, v0=v0):
+                return 1 if v == v0 else hilbert_symbol(a, b, v)
+            with monkeypatch.context() as m:
+                m.setattr(assembly, "hilbert_symbol", symbol)
+                rows = residual_breakdown(f)
+            assert rows == residual_breakdown_oracle(f, symbol)
+            varied += len({term for _, term in rows}) > 1
+    assert ramified
+    assert varied or 2 not in primes
+
+
+@pytest.mark.parametrize("places, code", [("inf,2,3", 1), ("inf,2,5,7,11", 1),
+                                          ("inf,2", 0), ("inf,2,3,5", 0)])
+def test_assemble_catches_a_constant_hilbert_symbol(monkeypatch, tmp_path, capsys,
+                                                    places, code):
+    """with (c, t)_v = -1 for every c, t and v, psi_u(t) = (-1)^|S| for each
+    unit u, so when |S| is odd the residual sides differ and assemble exits
+    1; when |S| is even every psi_d is 1 and the sides agree"""
+    from gl2trace import cli
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("places = %s\nphi_pos = -2:2:1/2\nphi_neg = -1:1:7\n" % places)
+    argv = ["assemble", "--config", str(cfg), "--base-dir", str(tmp_path)]
+    assert cli.run(argv) == 0
+    monkeypatch.setattr(assembly, "hilbert_symbol", lambda a, b, v: -1)
+    assert cli.run(argv) == code
+    assert ("FAIL residual sides differ" in capsys.readouterr().out) == bool(code)
 
 
 # -- correction bracket -------------------------------------------------

@@ -217,16 +217,25 @@ def test_poisson_matches_oracle(orders):
 
 
 def test_annihilator_from_generators():
-    " testing the generators alone finds the same characters "
+    """testing the generators alone finds the same characters: random
+    generators, then no generator, the identity, dependent generators,
+    and a group of exponent 720"""
     rng = random.Random(12)
+    cases = []
     for orders in [(4, 6), (2, 2, 4), (3, 9), (8,)]:
-        g = FiniteAbelianGroup(orders)
         for _ in range(6):
-            gens = [tuple(rng.randrange(n) for n in orders)
-                    for _ in range(rng.randint(0, 2))]
-            H = subgroup_generated(g, gens)
-            assert annihilator(g, gens) == naive_annihilator(g, H)
-            assert len(annihilator(g, gens)) * len(H) == g.order
+            cases.append((orders, [tuple(rng.randrange(n) for n in orders)
+                                   for _ in range(rng.randint(0, 2))]))
+    cases += [((4, 6), []), ((4, 6), [(0, 0)]), ((2, 2, 4), [(0, 0, 0), (1, 0, 2)]),
+              ((2, 2, 4), [(1, 0, 2), (0, 1, 2), (1, 1, 0)]), ((3, 9), [(1, 3), (2, 6)]),
+              ((16, 9, 5), []), ((16, 9, 5), [(0, 0, 0)]),
+              ((16, 9, 5), [(2, 3, 0), (4, 6, 0)]),
+              ((16, 9, 5), [(4, 3, 1), (8, 6, 2), (12, 0, 3)])]
+    for orders, gens in cases:
+        g = FiniteAbelianGroup(orders)
+        H = subgroup_generated(g, gens)
+        assert annihilator(g, gens) == naive_annihilator(g, H), (orders, gens)
+        assert len(annihilator(g, gens)) * len(H) == g.order
 
 
 def test_poisson_frozen_z4():

@@ -1,6 +1,6 @@
-"""Fuzz tests for the text formats the command line reads: Hecke element
-files (satake --in), group-function files (poisson --f), --config
-key = value files, and assemble configs with profile pieces.
+"""Fuzz tests for the text formats the command line reads: value tokens,
+Hecke element files (satake --in), group-function files (poisson --f),
+--config key = value files, and assemble configs with profile pieces.
 
 Each format gets two kinds of test.  One builds a valid file, breaks it
 in one known way, and requires exit 2 with an `error: ` line that names
@@ -17,12 +17,16 @@ import contextlib
 import io
 import os
 import tempfile
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2trace import chargroup, hecke
 from gl2trace.cli import run
 from gl2trace.hecke import HeckeElement, LocalField
+from gl2trace.rings import rational
 
 FRACTIONS = ["0", "1", "-1", "2", "1/2", "-3/4", "5/3"]
 
@@ -87,6 +91,58 @@ def insert_line(lines, line, at):
     " lines with line inserted at index at % (len + 1), and its 1-based number "
     at %= len(lines) + 1
     return lines[:at] + [line] + lines[at:], at + 1
+
+
+# -- value tokens -------------------------------------------------------
+
+
+# a doubled sign, a plus sign, minus zero, leading zeros, a zero
+# denominator, an underscore, an Arabic-Indic and a superscript digit, a
+# decimal, an exponent, a bare sign, a signed denominator, and tokens past
+# int()'s default digit limit
+TOKENS = ["--3", "+3", "-0", "007/014", "3/0", "1_0", "\u0663", "\u00b2", "1.5",
+          "2e3", "-", "-3/4", "3/-4", "-3/0", "0/0", "-0/00", "1" * 5000,
+          "-" + "1" * 5000, "1/" + "2" * 5000]
+
+
+def read_outcome(read, tok):
+    " (type, value) of read(tok), or the type and message of what it raised "
+    try:
+        value = read(tok)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return type(value), value
+
+
+@st.composite
+def digit_tokens(draw):
+    " tokens of the form -?[0-9]+(/[0-9]+)?, leading zeros included "
+    def digits():
+        return "0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, 10 ** 30)))
+    tok = ("-" if draw(st.booleans()) else "") + digits()
+    return tok + "/" + digits() if draw(st.booleans()) else tok
+
+
+@given(st.one_of(st.sampled_from(TOKENS), digit_tokens(),
+                 st.text(alphabet="0123456789-+/._eE \u0663\u00b2", max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_rational_reads_as_fraction(tok):
+    assert read_outcome(rational, tok) == read_outcome(Fraction, tok)
+
+
+@pytest.mark.parametrize("tok", TOKENS, ids=lambda tok: ascii(tok[:12]))
+def test_file_values_match_the_fraction_reader(monkeypatch, tok):
+    """a token in a Hecke file and in a group-function file gives the same
+    exit code, output and error line as with Fraction(str) as the reader"""
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = [["satake", "--q", "3", "--in",
+                  write(tmp, "h.hecke", "q 3 kmin 0\n0 0 %s\n1 0 1/2\n" % tok)],
+                 ["poisson", "--f", write(tmp, "g.fn", "group 2\nf 0 %s\nf 1 1/2\n" % tok)]]
+        assert read_outcome(rational, tok) == read_outcome(Fraction, tok)
+        got = [run_captured(argv) for argv in argvs]
+        monkeypatch.setattr(hecke, "rational", Fraction)
+        monkeypatch.setattr(chargroup, "rational", Fraction)
+        assert [run_captured(argv) for argv in argvs] == got
 
 
 # -- Hecke element files ------------------------------------------------

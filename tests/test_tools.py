@@ -1,0 +1,38 @@
+"""The A/B pool tool: equal checkouts pass, and a changed output stops it."""
+
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+AB_POOL = os.path.join(ROOT, "tools", "ab_pool.py")
+
+
+def ab_pool(other, *flags):
+    return subprocess.run([sys.executable, AB_POOL, str(other), "--workload", "global",
+                           "--seed", "1", "--seconds", "0", "--repeat", "1"] + list(flags),
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
+def test_ab_pool_reports_each_kind_for_equal_checkouts():
+    proc = ab_pool(ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "kind\tjobs\tother_s\tthis_s\tthis/other"
+    kinds = {ln.split("\t")[0]: int(ln.split("\t")[1]) for ln in lines[1:]}
+    assert kinds["all"] == kinds["per-job median"] == 200
+    assert sum(n for k, n in kinds.items() if k not in ("all", "per-job median")) == 200
+    assert {"poisson", "assemble"} <= set(kinds)
+
+
+def test_ab_pool_stops_at_a_changed_output(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src", "gl2trace"), tmp_path / "src" / "gl2trace",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "gl2trace" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"sum over H\\t%s"') == 1
+    cli.write_text(text.replace('"sum over H\\t%s"', '"sum over H \\t%s"'))
+    proc = ab_pool(tmp_path)
+    assert proc.returncode == 1
+    assert "(poisson) differs between the checkouts: poisson" in proc.stderr

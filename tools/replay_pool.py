@@ -26,6 +26,7 @@ import io
 import os
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -36,28 +37,41 @@ from perfbench import run, workloads  # noqa: E402
 MASK = "<pool>"
 
 
+def pool_size(workload, seconds):
+    " the job count perfbench/run.py prepares for a run of `seconds` "
+    return max(200, int((run.WARMUP_S + seconds) * run.MAX_RATE[workload]))
+
+
+def run_job(cli, job):
+    """(seconds, [exit code, stdout, stderr, --out file texts...]) of one
+    job through cli.run, its --out files removed first"""
+    for path in job.outs:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        t0 = time.perf_counter()
+        rc = cli.run(list(job.argv))
+        elapsed = time.perf_counter() - t0
+    parts = [str(rc), out.getvalue(), err.getvalue()]
+    for path in job.outs:
+        try:
+            with open(path) as fh:
+                parts.append(fh.read())
+        except FileNotFoundError:
+            parts.append("<no file>")
+    return elapsed, parts
+
+
 def replay(workload, seed, seconds):
     " (job count, nonzero exit count, sha256 hex) "
-    count = max(200, int((run.WARMUP_S + seconds) * run.MAX_RATE[workload]))
     h = hashlib.sha256()
     nonzero = 0
     with tempfile.TemporaryDirectory(prefix="replay-") as root:
-        jobs = workloads.build(workload, seed, root, count)[0]
+        jobs = workloads.build(workload, seed, root, pool_size(workload, seconds))[0]
         for job in jobs:
-            for path in job.outs:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.run(job.argv)
-            nonzero += rc != 0
-            parts = [str(rc), out.getvalue(), err.getvalue()]
-            for path in job.outs:
-                try:
-                    with open(path) as fh:
-                        parts.append(fh.read())
-                except FileNotFoundError:
-                    parts.append("<no file>")
+            parts = run_job(cli, job)[1]
+            nonzero += parts[0] != "0"
             for part in parts:
                 text = part.replace(root, MASK)
                 h.update(b"%d:" % len(text))
