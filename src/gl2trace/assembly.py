@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 from operator import mul
 
-from .chargroup import (class_group_mod_squares, hilbert_symbol, kronecker,
+from .chargroup import (class_group_mod_squares, hilbert_symbol,
                         normalize_places)
 from .hecke import HeckeElement, LocalField, coset_degree, n_integral
 from .rings import LaurentQ
@@ -313,47 +313,21 @@ def one_dim_geometric(f, constants=None):
     return c.vol_k ** 2 / c.vol_gbar * total
 
 
-def _local_spectral_factor(h, d, p):
-    """Group integral of h * chi_d(det) at the place p, by double-coset
-    volumes: zero for ramified chi_d, else the coset-count sum weighted
-    by the Kronecker value at det = p^(a+b)."""
-    kron = kronecker(d, p)
-    if kron == 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for key in h.support():
-        w = kron if (key[0] + key[1]) % 2 else 1
-        total += _fr(h[key]) * coset_degree(h.field, key) * w
-    return total
-
-
 def one_dim_spectral(f, constants=None):
-    """(1/volGbar) * sum over quadratic characters chi of D_S of the
-    product of exact local group integrals of f * conj(chi)(det), times
+    """(1/volGbar) * sum over quadratic characters chi_d of D_S of the
+    product of exact local group integrals of f * conj(chi_d)(det), times
     the sign-decomposed Phi-profile mass at infinity.  The integral at p
-    depends on chi_d only through kronecker(d, p), so each call computes
-    it once per (p, Kronecker value), in a dict that lives for the call."""
+    is 0 where chi_d is ramified (kronecker(d, p) = 0).  Every d of D_S
+    is 1 mod 4 unless 2 is in S, so only d = 1 is prime to every finite
+    p in S, and only the trivial character adds a term: the product over
+    p of the coset-count sums of f_p, times the whole Phi mass."""
     c = constants or NormalizationConstants()
-    sg = f.class_group()
-    mp_ = f.phi_profile.mass(1)
-    mm = f.phi_profile.mass(-1)
-    local = [(p, f.local(p)) for p in f.finite_places]
-    factors = {}   # (p, kronecker(d, p)) -> the group integral at p
-    total = Fraction(0)
-    for ch in sg.quad_chars:
-        term = Fraction(1)
-        for p, h in local:
-            if not ch.unramified_at(p):
-                term = Fraction(0)
-                break
-            key = (p, kronecker(ch.d, p))
-            factor = factors.get(key)
-            if factor is None:
-                factor = factors[key] = _local_spectral_factor(h, ch.d, p)
-            term *= factor
-        if term:
-            total += term * (mp_ + ch.sign_value() * mm)
-    return total / c.vol_gbar
+    term = Fraction(1)
+    for p in f.finite_places:
+        h = f.local(p)
+        term *= sum((_fr(h[key]) * coset_degree(h.field, key)
+                     for key in h.support()), Fraction(0))
+    return term * (f.phi_profile.mass(1) + f.phi_profile.mass(-1)) / c.vol_gbar
 
 
 def cartan_discrepancy(f):
@@ -400,13 +374,16 @@ def residual_geometric(f):
 def residual_breakdown(f):
     """Per character chi_d: -(1/4)(1/|D_S|) * sum over the torus support
     of Phi(t) * psi_d(t), where psi_d(t) is the product over v in S of
-    the local Hilbert symbols (c_d, t)_v.  The Hilbert symbol is
-    multiplicative in its first argument, and c_d is a squarefree product
-    of the units of S (-1 and the finite primes), so each call computes
-    psi_u(t) once per unit u and torus point t, and psi_d(t) is the
-    product of psi_u(t) over the units u dividing c_d.  The Phi values
-    are scaled to integers over one common denominator D, so each
-    character's sum is an integer sum, divided once."""
+    the local Hilbert symbols (c, t)_v for the unit part c of d (d, or
+    d/4).  The Hilbert symbol is multiplicative in its first argument,
+    and c is a squarefree product of the units of S (-1 and the finite
+    primes), so each call computes psi_u(t) once per unit u and torus
+    point t, and psi_d(t) is the product of psi_u(t) over the units u
+    dividing c.  The Phi values are scaled to integers over one common
+    denominator D, so each character's sum is an integer sum, divided
+    once.  Each torus point is an S-unit, so under the true symbol the
+    product formula makes psi_d(t) = 1 and every term equal, for every
+    Phi: the residual identity checks the symbols, not Phi."""
     _require_residual_places(f)
     sg = f.class_group()
     rows = f.torus_rows()
@@ -416,12 +393,13 @@ def residual_breakdown(f):
                     for t, _, _ in rows]
                 for u in [-1] + sg.places[1:]}
     out = []
-    for ch in sg.quad_chars:
+    for d in sg.quad_chars:
+        c = d if d % 4 == 1 else d // 4
         terms = ints   # Phi(t) * psi_d(t) * D
         for u, psi in psi_unit.items():
-            if ch.c < 0 if u == -1 else ch.c % u == 0:
+            if c < 0 if u == -1 else c % u == 0:
                 terms = list(map(mul, terms, psi))
-        out.append((ch.d, Fraction(-sum(terms), 4 * den * sg.group.order)))
+        out.append((d, Fraction(-sum(terms), 4 * den * sg.group.order)))
     return out
 
 

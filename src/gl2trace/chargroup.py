@@ -13,9 +13,9 @@ what Fraction(str) returns without its regular expression.
 
 The arithmetic layer: the group D_S = prod over v in S of Q_v^x /
 squares, modulo the diagonal S-units H_S.  Its characters are the
-annihilator of H_S under the Hilbert pairing, one quadratic character of
-discriminant supported in S each, and they are tabulated by exact
-Hilbert symbols place by place.
+annihilator of H_S under the Hilbert pairing.  Each is the quadratic
+character of a fundamental discriminant d supported in S and is held as
+the int d; they are found by exact Hilbert symbols place by place.
 """
 
 import itertools
@@ -171,20 +171,14 @@ def _cyclo_reduce(L, poly):
 class FiniteAbelianGroup:
     """Product of cyclic groups; elements are exponent tuples."""
 
-    __slots__ = ("orders", "labels", "_exponent")
+    __slots__ = ("orders", "_exponent")
 
-    def __init__(self, orders, labels=None):
+    def __init__(self, orders):
         orders = tuple(int(n) for n in orders)
         for n in orders:
             if n < 1:
                 raise ValueError("cyclic order %d is not >= 1" % n)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(orders):
-                raise ValueError("%d labels for %d cyclic orders"
-                                 % (len(labels), len(orders)))
         object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_exponent", math.lcm(*orders))
 
     def __setattr__(self, *_):
@@ -367,39 +361,6 @@ def legendre(a, p):
     return 1 if r == 1 else -1
 
 
-def kronecker(a, n):
-    " Kronecker symbol (a/n), full integer extension "
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    out = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            out = -out
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            out = -out
-    while True:
-        a %= n
-        if n == 1:
-            return out
-        if a == 0:
-            return 0
-        t = 0
-        while a % 2 == 0:
-            a //= 2
-            t += 1
-        if t % 2 and n % 8 in (3, 5):
-            out = -out
-        if a % 4 == 3 and n % 4 == 3:
-            out = -out
-        a, n = n, a
-    # not reached
-
-
 def _square_class_int(x):
     " numerator * denominator of a nonzero rational x: in its square class "
     if not isinstance(x, (int, Fraction)):
@@ -527,8 +488,9 @@ class SClassGroup:
     echelon_rows, one per pivot column, reduce an ambient vector to its
     class).  Its dual, quad_chars, is the annihilator of H_S under the
     Hilbert pairing: the functionals x -> prod over v of (c, x_v)_v, for
-    c in <-1, p in S>, that vanish on H_S.  The group itself is
-    self.group."""
+    c in <-1, p in S>, that vanish on H_S, each held as its discriminant
+    d (c, or 4c when c is not 1 mod 4), by |d| with d > 0 first.  The
+    group is self.group, on the ambient bits bit_labels[i], i in free_idx."""
 
     def __init__(self, S):
         self.places = normalize_places(S)
@@ -538,8 +500,7 @@ class SClassGroup:
         self._echelon()
         free = [i for i in range(self.nbits) if i not in self.pivot_cols]
         self.free_idx = free
-        self.group = FiniteAbelianGroup((2,) * len(free),
-                                        [self.bit_labels[i] for i in free])
+        self.group = FiniteAbelianGroup((2,) * len(free))
         self._build_dual()
 
     # ambient vectors ---------------------------------------------------
@@ -587,13 +548,11 @@ class SClassGroup:
         chars = []
         for mask in itertools.product((0, 1), repeat=len(units)):
             c = math.prod(u for u, e in zip(units, mask) if e)
-            table = tuple(0 if hilbert_symbol(c, r, v) == 1 else 1
-                          for v, r in reps)
+            table = [hilbert_symbol(c, r, v) == -1 for v, r in reps]
             if all(sum(t & h for t, h in zip(table, row)) % 2 == 0
                    for row in self.hgens):
-                d = c if c % 4 == 1 else 4 * c
-                chars.append(QuadChar(d, c, self, table))
-        chars.sort(key=lambda ch: (abs(ch.d), ch.d < 0))
+                chars.append(c if c % 4 == 1 else 4 * c)
+        chars.sort(key=lambda d: (abs(d), d < 0))
         self.quad_chars = chars
         if len(chars) != self.group.order:
             raise RuntimeError("dual size %d does not match group order %d"
@@ -601,41 +560,6 @@ class SClassGroup:
 
     def __repr__(self):
         return "SClassGroup(S=%s, D=(Z/2)^%d)" % (self.places, len(self.free_idx))
-
-
-class QuadChar:
-    """Quadratic character of fundamental discriminant d, living on the
-    S-class group.  A character of sgroup.quad_chars also keeps its
-    table: the F2 exponent of its Hilbert pairing with each ambient bit."""
-
-    __slots__ = ("d", "c", "sgroup", "table")
-
-    def __init__(self, d, c=None, sgroup=None, table=None):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "c", c if c is not None else d)
-        object.__setattr__(self, "sgroup", sgroup)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadChar is immutable")
-
-    def sign_value(self):
-        " value on the archimedean sign class (-1 at infinity) "
-        return 1 if self.d > 0 else -1
-
-    def unramified_at(self, p):
-        if p == 2:
-            return self.d % 2 == 1
-        return self.d % p != 0
-
-    def __eq__(self, other):
-        return isinstance(other, QuadChar) and other.d == self.d
-
-    def __hash__(self):
-        return hash(("QuadChar", self.d))
-
-    def __repr__(self):
-        return "QuadChar(d=%d)" % self.d
 
 
 def class_group_mod_squares(S):

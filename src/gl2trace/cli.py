@@ -234,8 +234,8 @@ def _cmd_poisson(args):
 def _cmd_class_group(args):
     sg = class_group_mod_squares(args.places.split(","))
     print("group\t(Z/2)^%d" % len(sg.group.orders))
-    print("coords\t%s" % ",".join("%s:%s" % lb for lb in sg.group.labels))
-    print("discriminants\t%s" % ",".join(str(ch.d) for ch in sg.quad_chars))
+    print("coords\t%s" % ",".join("%s:%s" % sg.bit_labels[i] for i in sg.free_idx))
+    print("discriminants\t%s" % ",".join(map(str, sg.quad_chars)))
     return OK
 
 

@@ -11,11 +11,11 @@ a subgroup is given by a list of generators."""
 import math
 from fractions import Fraction
 
-from gl2trace.assembly import NormalizationConstants, _local_spectral_factor
+from gl2trace.assembly import NormalizationConstants
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
-                                _cyclo_reduce, annihilator, hilbert_symbol,
-                                kronecker, subgroup_generated)
-from gl2trace.hecke import HeckeElement, SatakeParameter
+                                _basis_rep, _cyclo_reduce, annihilator,
+                                hilbert_symbol, subgroup_generated)
+from gl2trace.hecke import HeckeElement, SatakeParameter, coset_degree
 from gl2trace.rings import LaurentQ, QiNumber
 
 
@@ -178,38 +178,87 @@ def project(sgroup, t):
     return reduce_vector(sgroup, section_vector(sgroup, t))
 
 
-def _sgroup_of(ch):
-    if ch.sgroup is None:
-        raise ValueError("%r has no S-class group; take it from "
-                         "class_group_mod_squares(S).quad_chars" % (ch,))
-    return ch.sgroup
+def unit_part(d):
+    """the squarefree c with d = c or 4c: the sign of d times the primes
+    of odd valuation in d, found by trial division"""
+    c, n, p = (-1 if d < 0 else 1), abs(d), 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        c *= p if e % 2 else 1
+        p += 1
+    return c
 
 
-def on_element(ch, g):
-    " value of a quadratic character on an abstract D_S element (exponent tuple), +1 or -1 "
+def char_table(sgroup, d):
+    """the F2 exponent of chi_d's Hilbert pairing with each ambient bit of
+    sgroup: bit i reads 1 where (c, r_i)_v = -1, for c the unit part of d
+    and r_i the rational that generates bit i at its place v"""
+    c = unit_part(d)
+    return [1 if hilbert_symbol(c, _basis_rep(lbl), lbl[0]) == -1 else 0
+            for lbl in sgroup.bit_labels]
+
+
+def on_element(sgroup, d, g):
+    " value of chi_d on an abstract D_S element (exponent tuple), +1 or -1 "
+    table = char_table(sgroup, d)
     e = 0
-    for x, i in zip(g, _sgroup_of(ch).free_idx):
+    for x, i in zip(g, sgroup.free_idx):
         if x:
-            e ^= ch.table[i]
+            e ^= table[i]
     return -1 if e else 1
 
 
-def on_vector(ch, vec):
-    " value of a quadratic character on an ambient bit vector "
-    _sgroup_of(ch)
+def on_vector(sgroup, d, vec):
+    " value of chi_d on an ambient bit vector of sgroup "
     e = 0
-    for x, t in zip(vec, ch.table):
+    for x, t in zip(vec, char_table(sgroup, d)):
         if x:
             e ^= t
     return -1 if e else 1
 
 
-def quad_char_eval(ch, t):
-    " Kronecker symbol (d/t) of a QuadChar, extended multiplicatively to rationals "
+def kronecker(a, n):
+    " Kronecker symbol (a/n), full integer extension "
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    out = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            out = -out
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            out = -out
+    while True:
+        a %= n
+        if n == 1:
+            return out
+        if a == 0:
+            return 0
+        t = 0
+        while a % 2 == 0:
+            a //= 2
+            t += 1
+        if t % 2 and n % 8 in (3, 5):
+            out = -out
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a, n = n, a
+    # not reached
+
+
+def quad_char_eval(d, t):
+    " Kronecker symbol (d/t), extended multiplicatively to rationals "
     t = Fraction(t)
     if not t:
         raise ValueError("character value at t = 0: t must be nonzero")
-    return kronecker(ch.d, t.numerator) * kronecker(ch.d, t.denominator)
+    return kronecker(d, t.numerator) * kronecker(d, t.denominator)
 
 
 # -- Satake parameters ------------------------------------------------------
@@ -237,36 +286,41 @@ def damaged_products(prod):
 
 def residual_breakdown_oracle(f, symbol=hilbert_symbol):
     """assembly.residual_breakdown as it was before the per-unit tables:
-    psi_d(t) is the product over v in S of symbol(c_d, t, v), one Hilbert
-    symbol per character, torus point and place"""
+    psi_d(t) is the product over v in S of symbol(c, t, v) for the unit
+    part c of d, one Hilbert symbol per character, torus point and place"""
     sg = f.class_group()
     out = []
-    for ch in sg.quad_chars:
+    for d in sg.quad_chars:
         s = Fraction(0)
         for t, _, pv in f.torus_rows():
             psi = 1
             for v in sg.places:
-                psi *= symbol(ch.c, t, v)
+                psi *= symbol(unit_part(d), t, v)
             s += pv * psi
-        out.append((ch.d, -Fraction(1, 4) * s / sg.group.order))
+        out.append((d, -Fraction(1, 4) * s / sg.group.order))
     return out
 
 
 def one_dim_spectral_oracle(f, constants=None):
-    """assembly.one_dim_spectral as it was before the per-place table:
-    one _local_spectral_factor call per character and place"""
+    """assembly.one_dim_spectral as the sum over every character of D_S,
+    the reference for its trivial-character shortcut: per character and
+    place, 0 where p divides d, else the coset-degree sum of h weighted
+    by kronecker(d, p) at odd det valuation; chi_d is -1 on the archimedean sign class when d < 0"""
     c = constants or NormalizationConstants()
     mp_, mm = f.phi_profile.mass(1), f.phi_profile.mass(-1)
     total = Fraction(0)
-    for ch in f.class_group().quad_chars:
+    for d in f.class_group().quad_chars:
         term = Fraction(1)
         for p in f.finite_places:
-            if not ch.unramified_at(p):
+            if d % p == 0:
                 term = Fraction(0)
                 break
-            term *= _local_spectral_factor(f.local(p), ch.d, p)
+            h = f.local(p)
+            term *= sum(h[key].as_fraction() * coset_degree(h.field, key)
+                        * (kronecker(d, p) if sum(key) % 2 else 1)
+                        for key in h.support())
         if term:
-            total += term * (mp_ + ch.sign_value() * mm)
+            total += term * (mp_ + (1 if d > 0 else -1) * mm)
     return total / c.vol_gbar
 
 

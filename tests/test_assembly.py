@@ -24,8 +24,8 @@ from gl2trace.chargroup import (class_group_mod_squares, hilbert_symbol,
 from gl2trace.hecke import HeckeElement, LocalField
 from gl2trace.rings import LaurentQ
 
-from _oracles import (format_pieces, one_dim_spectral_oracle, project,
-                      residual_breakdown_oracle)
+from _oracles import (format_pieces, kronecker, one_dim_spectral_oracle,
+                      project, residual_breakdown_oracle)
 
 INF = "inf"
 
@@ -578,20 +578,25 @@ def test_assembly_sums_match_per_character_oracles(monkeypatch, primes):
     term from one local factor per Kronecker value equal the sums taken
     character by character, with a Hilbert symbol per (c_d, t, v) and a
     local factor per (character, place).  By reciprocity every psi_d is 1
-    on the torus points, so the breakdowns are also compared under the
-    symbol with one place v0 left out: still multiplicative in c, it makes
-    psi_d(t) = (c_d, t)_v0, which varies with d."""
+    on the torus points, so every term of the breakdown is equal, and the
+    breakdowns are also compared under the symbol with one place v0 left
+    out: still multiplicative in c, it makes psi_d(t) = (c_d, t)_v0, which
+    varies with d.  Only d = 1 is unramified at every finite place of S,
+    so only chi_1 adds to the one-dimensional term."""
     rng = random.Random(sum(primes))
     ramified = varied = 0
     for _ in range(3):
         f = random_test_function(rng, primes)
         chars = f.class_group().quad_chars
-        ramified += sum(not ch.unramified_at(p) for ch in chars for p in primes)
+        ramified += sum(kronecker(d, p) == 0 for d in chars for p in primes)
+        assert [d for d in chars if all(kronecker(d, p) for p in primes)] == [1]
         consts = NormalizationConstants(vol_k=rng.randint(1, 3), vol_gbar=rng.randint(1, 3))
         assert one_dim_spectral(f, consts) == one_dim_spectral_oracle(f, consts)
         if 2 not in primes:
             continue
-        assert residual_breakdown(f) == residual_breakdown_oracle(f)
+        rows = residual_breakdown(f)
+        assert rows == residual_breakdown_oracle(f)
+        assert len({term for _, term in rows}) == 1
         assert residual_spectral(f) == residual_geometric(f)
         for v0 in f.places:
             def symbol(a, b, v, v0=v0):

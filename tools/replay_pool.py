@@ -17,6 +17,16 @@ bytes give the same digest.  The last line is
 where K counts the jobs whose exit code is not 0.  The script exits 1
 when K > 0 and 0 otherwise, so a byte-identity check can be chained in a
 shell script.  Nothing under perfbench/ is edited.
+
+With --warmup it also prints, before that line,
+
+    warm-up N of M jobs
+
+N is how many pool jobs, in order, perfbench/run.py's warm-up would run
+before their summed in-process job time reaches run.WARMUP_S (1.5 s),
+and M is the pool size.  N = M means the warm-up uses up the pool, where
+run.py exits 1 before timing a job, so a change that moves N toward M
+shows before a benchmark run.
 """
 
 import argparse
@@ -63,20 +73,33 @@ def run_job(cli, job):
     return elapsed, parts
 
 
+def warmup_jobs(times, seconds):
+    """how many of the jobs with these in-process times, in order, run.py's
+    warm-up runs: it starts a job while the summed time is below seconds"""
+    spent = 0.0
+    for n, t in enumerate(times):
+        if spent >= seconds:
+            return n
+        spent += t
+    return len(times)
+
+
 def replay(workload, seed, seconds):
-    " (job count, nonzero exit count, sha256 hex) "
+    " (per-job seconds, nonzero exit count, sha256 hex) "
     h = hashlib.sha256()
     nonzero = 0
+    times = []
     with tempfile.TemporaryDirectory(prefix="replay-") as root:
         jobs = workloads.build(workload, seed, root, pool_size(workload, seconds))[0]
         for job in jobs:
-            parts = run_job(cli, job)[1]
+            elapsed, parts = run_job(cli, job)
+            times.append(elapsed)
             nonzero += parts[0] != "0"
             for part in parts:
                 text = part.replace(root, MASK)
                 h.update(b"%d:" % len(text))
                 h.update(text.encode())
-    return len(jobs), nonzero, h.hexdigest()
+    return times, nonzero, h.hexdigest()
 
 
 def main(argv=None):
@@ -85,9 +108,14 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=25.0,
                     help="run length whose pool is replayed (default 25)")
+    ap.add_argument("--warmup", action="store_true",
+                    help="also print how many pool jobs run.py's %s-s warm-up "
+                    "takes" % run.WARMUP_S)
     args = ap.parse_args(argv)
-    n, nonzero, hexdigest = replay(args.workload, args.seed, args.seconds)
-    print("jobs %d nonzero %d sha256 %s" % (n, nonzero, hexdigest))
+    times, nonzero, hexdigest = replay(args.workload, args.seed, args.seconds)
+    if args.warmup:
+        print("warm-up %d of %d jobs" % (warmup_jobs(times, run.WARMUP_S), len(times)))
+    print("jobs %d nonzero %d sha256 %s" % (len(times), nonzero, hexdigest))
     return 1 if nonzero else 0
 
 
