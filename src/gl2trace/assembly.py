@@ -501,7 +501,7 @@ def load_config(text, base_dir="."):
     """Line-based `key = value` configuration.  Keys: places (required,
     e.g. inf,2,3), vol_gbar, vol_k, f_pos/f_neg and phi_pos/phi_neg
     (profile piece lists), hecke_<p> (path to a Hecke element file,
-    relative to base_dir).  Returns (GlobalTestFunction,
+    relative to base_dir; one key per place).  Returns (GlobalTestFunction,
     NormalizationConstants)."""
     values = read_config(text, _config_key)
     if "places" not in values:
@@ -513,12 +513,16 @@ def load_config(text, base_dir="."):
                             neg=parse_pieces(values.pop("f_neg", "")))
     phi_profile = ArchProfile(pos=parse_pieces(values.pop("phi_pos", "")),
                               neg=parse_pieces(values.pop("phi_neg", "")))
-    hecke = {}
+    hecke, keys = {}, {}
     for key in list(values):
         try:
             p = int(key[len("hecke_"):])
         except ValueError:
             raise ValueError("config key %r names no place" % key) from None
+        if p in keys:
+            raise ValueError("config keys %r and %r name one place %d"
+                             % (keys[p], key, p))
+        keys[p] = key
         path = os.path.join(base_dir, values.pop(key))
         try:
             with open(path) as fh:

@@ -15,7 +15,8 @@ The arithmetic layer: the group D_S = prod over v in S of Q_v^x /
 squares, modulo the diagonal S-units H_S.  Its characters are the
 annihilator of H_S under the Hilbert pairing.  Each is the quadratic
 character of a fundamental discriminant d supported in S and is held as
-the int d; they are found by exact Hilbert symbols place by place.
+the int d.  Hilbert reciprocity names them: every c in <-1, p in S>
+when 2 is in S, otherwise exactly those with c = 1 mod 4.
 """
 
 import itertools
@@ -460,24 +461,6 @@ def _bit_labels(places):
     return out
 
 
-def _basis_rep(label):
-    " a rational idele component generating the labeled ambient bit "
-    v, kind = label
-    if kind == "sign":
-        return -1
-    if kind == "val":
-        return v
-    if kind == "u7":
-        return 7
-    if kind == "u5":
-        return 5
-    # smallest quadratic nonresidue mod v
-    for n in range(2, v):
-        if legendre(n, v) == -1:
-            return n
-    raise AssertionError("no nonresidue found")
-
-
 class SClassGroup:
     """Finite model of the quadratic idele class quotient at level S.
 
@@ -489,7 +472,8 @@ class SClassGroup:
     class).  Its dual, quad_chars, is the annihilator of H_S under the
     Hilbert pairing: the functionals x -> prod over v of (c, x_v)_v, for
     c in <-1, p in S>, that vanish on H_S, each held as its discriminant
-    d (c, or 4c when c is not 1 mod 4), by |d| with d > 0 first.  The
+    d (c, or 4c when c is not 1 mod 4), by |d| with d > 0 first: by
+    reciprocity, every c when 2 is in S, else the c = 1 mod 4.  The
     group is self.group, on the ambient bits bit_labels[i], i in free_idx."""
 
     def __init__(self, S):
@@ -541,16 +525,16 @@ class SClassGroup:
     # dual --------------------------------------------------------------
 
     def _build_dual(self):
-        """Tabulate each candidate c on the ambient bits, one Hilbert
-        symbol per bit, and keep c when its table vanishes on H_S."""
+        """Keep the c in <-1, p in S> that vanish on H_S.  By reciprocity,
+        prod over v in S of (c, u)_v, for an S-unit u, is the product over
+        v outside S, where c and u are units: 1 at odd v, and (-1)^(e(c)e(u))
+        at 2, e(x) = (x - 1)/2 mod 2.  So every c is kept when 2 is in S,
+        and otherwise, as u = -1 has e = 1, exactly the c = 1 mod 4."""
         units = [-1] + self.places[1:]
-        reps = [(lbl[0], _basis_rep(lbl)) for lbl in self.bit_labels]
         chars = []
         for mask in itertools.product((0, 1), repeat=len(units)):
-            c = math.prod(u for u, e in zip(units, mask) if e)
-            table = [hilbert_symbol(c, r, v) == -1 for v, r in reps]
-            if all(sum(t & h for t, h in zip(table, row)) % 2 == 0
-                   for row in self.hgens):
+            c = math.prod(itertools.compress(units, mask))
+            if c % 4 == 1 or 2 in self.places:
                 chars.append(c if c % 4 == 1 else 4 * c)
         chars.sort(key=lambda d: (abs(d), d < 0))
         self.quad_chars = chars

@@ -242,13 +242,14 @@ def _cmd_class_group(args):
 def _cmd_assemble(args):
     f, consts = load_config(_read(args.config), base_dir=args.base_dir)
     ff = args.as_float
-    print("one_dim_geometric\t%s" % _fmt(one_dim_geometric(f, consts), ff))
-    print("one_dim_spectral\t%s" % _fmt(one_dim_spectral(f, consts), ff))
-    rg = residual_geometric(f)
-    rs = residual_spectral(f)
+    # every term before the first print: a bad input exits 2 with no output
+    one_g, one_s = one_dim_geometric(f, consts), one_dim_spectral(f, consts)
+    rg, rs = residual_geometric(f), residual_spectral(f)
+    total, rows = correction_term(f, consts)
+    print("one_dim_geometric\t%s" % _fmt(one_g, ff))
+    print("one_dim_spectral\t%s" % _fmt(one_s, ff))
     print("residual_geometric\t%s" % _fmt(rg, ff))
     print("residual_spectral\t%s" % _fmt(rs, ff))
-    total, rows = correction_term(f, consts)
     print(format_correction_report(total, rows), end="")
     if rs != rg:
         for d, term in residual_breakdown(f):
@@ -440,9 +441,13 @@ def _build_parser(argv):
     return top
 
 
+_ON_OFF = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_config(args, flags):
     """fill unset flags from a `key = value` file, keyed by flag name ('-'
-    and '_' alike); unknown and repeated keys rejected"""
+    and '_' alike); unknown and repeated keys, and an on/off flag's word
+    outside _ON_OFF, rejected"""
     path = getattr(args, "config", None)
     if not path or args.cmd in ("assemble", "cartan-report"):
         return  # those two consume --config themselves
@@ -454,12 +459,17 @@ def _apply_config(args, flags):
             raise _Usage("unknown config key: %r" % key)
         return dests[key]
     known = vars(args)
+    flag_of = {dest: flag for flag, dest in dests.items()}
     for key, val in read_config(_read(path), config_key).items():
         cur = known[key]
         if cur is None:
             setattr(args, key, val)
         elif cur is False:
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
+            if val.lower() not in _ON_OFF:
+                flag = flag_of[key]
+                raise _Usage("--config value %s = %s for --%s: want one of %s"
+                             % (flag, val, flag.replace("_", "-"), ", ".join(_ON_OFF)))
+            setattr(args, key, _ON_OFF[val.lower()])
 
 
 def run(argv=None):

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from gl2trace.assembly import NormalizationConstants
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
-                                _basis_rep, _cyclo_reduce, annihilator,
-                                hilbert_symbol, subgroup_generated)
+                                _cyclo_reduce, annihilator, hilbert_symbol,
+                                legendre, subgroup_generated)
 from gl2trace.hecke import HeckeElement, SatakeParameter, coset_degree
 from gl2trace.rings import LaurentQ, QiNumber
 
@@ -190,6 +190,24 @@ def unit_part(d):
         c *= p if e % 2 else 1
         p += 1
     return c
+
+
+def _basis_rep(label):
+    " a rational idele component generating the labeled ambient bit "
+    v, kind = label
+    if kind == "sign":
+        return -1
+    if kind == "val":
+        return v
+    if kind == "u7":
+        return 7
+    if kind == "u5":
+        return 5
+    # smallest quadratic nonresidue mod v
+    for n in range(2, v):
+        if legendre(n, v) == -1:
+            return n
+    raise AssertionError("no nonresidue found")
 
 
 def char_table(sgroup, d):

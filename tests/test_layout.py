@@ -95,7 +95,9 @@ def test_internal_invariants_survive_optimize():
     the CLI reports as a usage error, exit 2), with python -O as without.
     Each invariant is broken from outside: a degree whose products come
     out one too long, a non-monic or non-dividing divisor, a trace with a
-    v-part, a Hilbert symbol that is always -1."""
+    v-part, a local square class that is always trivial, which leaves
+    the S-unit rank at 0 while the reciprocity count of the dual is
+    unchanged."""
     code = ("from gl2trace import basicfn, chargroup\n"
             "from gl2trace.basicfn import RepSpec\n"
             "from gl2trace.rings import LaurentQ\n"
@@ -104,9 +106,9 @@ def test_internal_invariants_survive_optimize():
             "        return int(self) * j + 1\n"
             "def vpart(h, c):\n"
             "    return LaurentQ(1, 1, 2)\n"
-            "def minus(a, b, p):\n"
-            "    return -1\n"
-            "basicfn.spherical_trace, chargroup.hilbert_symbol = vpart, minus\n"
+            "def trivial(t, v):\n"
+            "    return (0,) * (1 if v == 'inf' else 3 if v == 2 else 2)\n"
+            "basicfn.spherical_trace, chargroup.local_square_class = vpart, trivial\n"
             "for call in (lambda: basicfn.symn_trace(RepSpec(1), Long(1)),\n"
             "             lambda: basicfn._trace_value(None, None),\n"
             "             lambda: chargroup._poly_divexact([1, 0, 1], [1, 2]),\n"
@@ -126,4 +128,4 @@ def test_internal_invariants_survive_optimize():
             "RuntimeError trace of a basic-function coefficient kept a v-part",
             "RuntimeError cyclotomic divisors are monic",
             "RuntimeError inexact cyclotomic division",
-            "RuntimeError dual size 0 does not match group order 2"], flags
+            "RuntimeError dual size 2 does not match group order 8"], flags

@@ -387,6 +387,25 @@ def test_config_edited(case):
         assert_runs_or_rejected(argv + ["--config", path], was_edited)
 
 
+@pytest.mark.parametrize("word, on", [
+    ("yes", True), ("TRUE", True), ("1", True), ("no", False), ("False", False),
+    ("0", False), ("maybe", None), ("2", None), ("on", None), ("", None)])
+def test_config_on_off_word(word, on):
+    """a config word for an on/off flag gives what the flag or its absence
+    gives; any other word exits 2 naming the key and the flag"""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["orbital", "--q", "3", "--gamma", "1,0", "--in",
+                write(tmp, "T3.hecke", HeckeElement.char(LocalField(3), (1, 0)).to_text())]
+        path = write(tmp, "f.cfg", "float = %s\n" % word)
+        got = run_captured(argv + ["--config", path])
+        if on is None:
+            assert got == (2, "", "error: --config value float = %s for --float: want "
+                           "one of 1, true, yes, 0, false, no\n" % word)
+        else:
+            want = run_captured(argv + (["--float"] if on else []))
+            assert want[0] == 0 and want[1] and got == want
+
+
 # -- assemble configs with profile pieces -------------------------------
 
 
@@ -495,3 +514,31 @@ def test_assemble_config_edited(case):
         for cmd in ("assemble", "cartan-report"):
             assert_runs_or_rejected([cmd, "--config", path, "--base-dir", tmp],
                                     was_edited)
+
+
+@pytest.mark.parametrize("second", ["hecke_03", "hecke_+3"])
+def test_assemble_config_one_key_per_place(second):
+    " a second key for one place is an error naming both, not a silent override "
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, key in (("a", (1, 0)), ("b", (2, 0))):
+            write(tmp, name + ".hecke", HeckeElement.char(LocalField(3), key).to_text())
+        path = write(tmp, "run.cfg", "places = inf,2,3\nhecke_3 = a.hecke\n"
+                     "%s = b.hecke\n" % second)
+        for cmd in ("assemble", "cartan-report"):
+            assert_rejected([cmd, "--config", path, "--base-dir", tmp],
+                            "config keys 'hecke_3' and '%s' name one place 3" % second)
+
+
+@pytest.mark.parametrize("lines, hecke, where", [
+    (["places = inf,3", "hecke_3 = t3.hecke"], "q 3 kmin 0\n1 0 1\n",
+     "needs both inf and 2 in S"),
+    (["places = inf,2,3", "hecke_3 = t3.hecke"], "q 3 kmin 0\n1 0 1\n2 1 0 1\n",
+     "value v has a v-part"),
+], ids=["no-2-in-S", "v-part-off-the-torus"])
+def test_assemble_prints_nothing_before_a_usage_error(lines, hecke, where):
+    with tempfile.TemporaryDirectory() as tmp:
+        write(tmp, "t3.hecke", hecke)
+        path = write(tmp, "run.cfg", "\n".join(lines) + "\n")
+        code, out, err = run_captured(["assemble", "--config", path, "--base-dir", tmp])
+        assert (code, out) == (2, ""), (code, out, err)
+        assert err.startswith("error: ") and where in err, err
