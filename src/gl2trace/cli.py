@@ -10,24 +10,14 @@ import argparse
 import math
 import sys
 
-from .assembly import (cartan_discrepancy, correction_term,
-                       format_cartan_report, format_correction_report,
-                       intertwining_constant, load_config, numeric_verify,
-                       one_dim_geometric, one_dim_spectral, read_config,
-                       residual_breakdown, residual_geometric,
-                       residual_spectral)
-from .basicfn import RepSpec, basic_coeff, local_l_factor, trace_series
-from .chargroup import (class_group_mod_squares, parse_group_function,
-                        poisson_check)
-from .hecke import (HeckeElement, LocalField, SatakeParameter, convolve,
-                    satake_transform, transform_is_multiplicative)
-from .kernels import BACKEND
-from .orbital import (SplitClass, measure_phi_exponent, orbital_zeta,
-                      phi_transform, rational_reconstruct, split_orbital,
-                      tree_orbital_oracle)
-from .rings import LaurentQ
-from .spectral import (delta_qexpansion, estimator_series, format_estimates,
-                       parse_weighting)
+# modules, not names: a module runs on the first read of one of its
+# attributes (see __init__.py), so a subcommand runs only what it uses
+from . import (assembly, basicfn, chargroup, hecke, kernels, orbital, rings,
+               spectral)
+# the one name bound here: perfbench/test_perfbench.py checks that the
+# tracer rebinds cli.convolve with hecke.convolve.  It runs hecke and rings,
+# which every subcommand but poisson and class-group needs anyway
+from .hecke import convolve
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -56,7 +46,7 @@ def _write_out(args, text):
 
 
 def _load_hecke(path, q):
-    h = HeckeElement.from_text(_read(path))
+    h = hecke.HeckeElement.from_text(_read(path))
     if h.field.q != q:
         raise _Usage("--in element has q = %d, flag says q = %d"
                      % (h.field.q, q))
@@ -78,8 +68,8 @@ def _int_pair(text, flag):
     return pair
 
 
-def _r_flag(text, parse=RepSpec.parse):
-    " the --r representation; a parse error names the flag and its value "
+def _r_flag(text, parse):
+    " the --r value read by parse; a parse error names the flag and its value "
     try:
         return parse(text)
     except ValueError as e:
@@ -99,7 +89,7 @@ def _fmt(x, as_float):
 
 def _cmd_satake(args):
     h = _load_hecke(args.infile, args.q)
-    s = satake_transform(h)
+    s = hecke.satake_transform(h)
     print(str(s))
     if args.out:
         _write_out(args, s.to_text())
@@ -112,7 +102,7 @@ def _cmd_convolve(args):
     prod = convolve(h1, h2)
     _write_out(args, prod.to_text())
     # homomorphism self-check on the pair just convolved
-    if not transform_is_multiplicative(h1, h2, prod):
+    if not hecke.transform_is_multiplicative(h1, h2, prod):
         print("FAIL transform of the product differs from the product "
               "of transforms")
         return FAIL
@@ -120,25 +110,26 @@ def _cmd_convolve(args):
 
 
 def _cmd_basic_fn(args):
-    rep = _r_flag(args.r)
-    h = basic_coeff(rep, args.n, LocalField(args.q))
+    rep = _r_flag(args.r, basicfn.RepSpec.parse)
+    h = basicfn.basic_coeff(rep, args.n, hecke.LocalField(args.q))
     _write_out(args, h.to_text())
     return OK
 
 
 def _cmd_l_factor(args):
-    field = LocalField(args.q)
+    field = hecke.LocalField(args.q)
     if args.check is not None and args.check < 0:
         raise _Usage("--check %d is negative: a series order is >= 0" % args.check)
-    rep = _r_flag(args.r)
+    rep = _r_flag(args.r, basicfn.RepSpec.parse)
     m, n = _int_pair(args.triple, "--triple")
     if not m > n > 0:
         raise _Usage("--triple wants m > n > 0")
-    c = SatakeParameter.from_triple(m, n)
-    fn = local_l_factor(rep, c)
+    c = hecke.SatakeParameter.from_triple(m, n)
+    fn = basicfn.local_l_factor(rep, c)
     print(fn.to_text(), end="")
     if args.check is not None:
-        lhs, rhs = trace_series(rep, c, args.check, field), fn.series(args.check)
+        lhs = basicfn.trace_series(rep, c, args.check, field)
+        rhs = fn.series(args.check)
         for k in range(args.check + 1):
             if lhs[k] != rhs[k]:
                 print("FAIL at order %d: trace %s vs L-series %s"
@@ -151,10 +142,10 @@ def _cmd_l_factor(args):
 def _cmd_orbital(args):
     h = _load_hecke(args.infile, args.q)
     m1, m2 = _int_pair(args.gamma, "--gamma")
-    gamma = SplitClass(LocalField(args.q), m1, m2, args.d)
-    val = split_orbital(h, gamma)
+    gamma = orbital.SplitClass(hecke.LocalField(args.q), m1, m2, args.d)
+    val = orbital.split_orbital(h, gamma)
     if args.depth is not None:   # before any output: a bad depth exits 2
-        oracle = tree_orbital_oracle(h, gamma, args.depth)
+        oracle = orbital.tree_orbital_oracle(h, gamma, args.depth)
     print("orbital\t%s" % _fmt(val, args.as_float))
     if args.depth is not None:
         print("oracle\t%s" % _fmt(oracle, args.as_float))
@@ -165,14 +156,14 @@ def _cmd_orbital(args):
 
 
 def _cmd_orbital_zeta(args):
-    rep = _r_flag(args.r)
+    rep = _r_flag(args.r, basicfn.RepSpec.parse)
     m1, m2 = _int_pair(args.gamma, "--gamma")
-    gamma = SplitClass(LocalField(args.q), m1, m2, args.d)
+    gamma = orbital.SplitClass(hecke.LocalField(args.q), m1, m2, args.d)
     if args.order < 0:
         raise _Usage("--N %d is negative: a series order is >= 0" % args.order)
-    series = orbital_zeta(gamma, rep, args.order)
+    series = orbital.orbital_zeta(gamma, rep, args.order)
     degn, degd = _int_pair(args.fit, "--fit")
-    fn = rational_reconstruct(series, degn, degd)
+    fn = orbital.rational_reconstruct(series, degn, degd)
     if fn is None:
         print("FAIL no rational function of degree (%d, %d) matches; "
               "first coefficients: %s"
@@ -185,27 +176,27 @@ def _cmd_orbital_zeta(args):
 
 
 def _cmd_phi_check(args):
-    field = LocalField(args.q)
+    field = hecke.LocalField(args.q)
     if args.dmax < 1:
         raise _Usage("--dmax %d checks no point: it must be >= 1" % args.dmax)
     if args.infile:
         hs = [_load_hecke(args.infile, args.q)]
     else:
-        hs = [HeckeElement.unit(field),
-              HeckeElement.char(field, (1, 0)),
-              HeckeElement.char(field, (2, 0))]
+        hs = [hecke.HeckeElement.unit(field),
+              hecke.HeckeElement.char(field, (1, 0)),
+              hecke.HeckeElement.char(field, (2, 0))]
     exponents = set()
     for h in hs:
         for m in range(1, args.dmax + 1):
-            a = SplitClass(field, m, 0)
-            f = split_orbital(h, a)
-            want = LaurentQ.v_power(a.m2 - a.m1, args.q) * f
-            got = phi_transform(h, a)
+            a = orbital.SplitClass(field, m, 0)
+            f = orbital.split_orbital(h, a)
+            want = rings.LaurentQ.v_power(a.m2 - a.m1, args.q) * f
+            got = orbital.phi_transform(h, a)
             if got != want:
                 print("FAIL at m = %d: phi = %s, H^(1/2) f_G = %s"
                       % (m, got.compact(), want.compact()))
                 return FAIL
-            e = measure_phi_exponent(a, got, f)
+            e = orbital.measure_phi_exponent(a, got, f)
             if e is not None:
                 exponents.add(e)
     print("relation verified; measured H-exponent(s): %s"
@@ -218,11 +209,11 @@ def _cmd_poisson(args):
             for g in args.subgroup.split(";")] if args.subgroup else []
     orders = args.group and _ints(args.group, "--group",
                                   "comma-separated cyclic orders")
-    group, f = parse_group_function(_read(args.f))
+    group, f = chargroup.parse_group_function(_read(args.f))
     if orders and orders != group.orders:
         raise _Usage("--group %s does not match the file's group %s"
                      % (orders, group.orders))
-    lhs, rhs = poisson_check(group, gens, f)
+    lhs, rhs = chargroup.poisson_check(group, gens, f)
     print("sum over H\t%s" % lhs)
     print("dual side\t%s" % rhs)
     if lhs != rhs:
@@ -232,7 +223,7 @@ def _cmd_poisson(args):
 
 
 def _cmd_class_group(args):
-    sg = class_group_mod_squares(args.places.split(","))
+    sg = chargroup.class_group_mod_squares(args.places.split(","))
     print("group\t(Z/2)^%d" % len(sg.group.orders))
     print("coords\t%s" % ",".join("%s:%s" % sg.bit_labels[i] for i in sg.free_idx))
     print("discriminants\t%s" % ",".join(map(str, sg.quad_chars)))
@@ -240,19 +231,20 @@ def _cmd_class_group(args):
 
 
 def _cmd_assemble(args):
-    f, consts = load_config(_read(args.config), base_dir=args.base_dir)
+    f, consts = assembly.load_config(_read(args.config), base_dir=args.base_dir)
     ff = args.as_float
     # every term before the first print: a bad input exits 2 with no output
-    one_g, one_s = one_dim_geometric(f, consts), one_dim_spectral(f, consts)
-    rg, rs = residual_geometric(f), residual_spectral(f)
-    total, rows = correction_term(f, consts)
+    one_g = assembly.one_dim_geometric(f, consts)
+    one_s = assembly.one_dim_spectral(f, consts)
+    rg, rs = assembly.residual_geometric(f), assembly.residual_spectral(f)
+    total, rows = assembly.correction_term(f, consts)
     print("one_dim_geometric\t%s" % _fmt(one_g, ff))
     print("one_dim_spectral\t%s" % _fmt(one_s, ff))
     print("residual_geometric\t%s" % _fmt(rg, ff))
     print("residual_spectral\t%s" % _fmt(rs, ff))
-    print(format_correction_report(total, rows), end="")
+    print(assembly.format_correction_report(total, rows), end="")
     if rs != rg:
-        for d, term in residual_breakdown(f):
+        for d, term in assembly.residual_breakdown(f):
             print("character %s contributes %s" % (d, term))
         print("FAIL residual sides differ: %s vs %s" % (rs, rg))
         return FAIL
@@ -260,8 +252,9 @@ def _cmd_assemble(args):
 
 
 def _cmd_cartan_report(args):
-    f, _ = load_config(_read(args.config), base_dir=args.base_dir)
-    _write_out(args, format_cartan_report(cartan_discrepancy(f)))
+    f, _ = assembly.load_config(_read(args.config), base_dir=args.base_dir)
+    report = assembly.format_cartan_report(assembly.cartan_discrepancy(f))
+    _write_out(args, report)
     return OK
 
 
@@ -273,7 +266,7 @@ def _s_value(bit):
         raise _Usage("--s-grid wants comma-separated numbers, got %r"
                      % bit) from None
     try:
-        return s, numeric_verify(s)
+        return s, assembly.numeric_verify(s)
     except ValueError as e:
         raise _Usage("--s-grid value %s" % e) from None
 
@@ -282,7 +275,7 @@ def _cmd_intertwine(args):
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _Usage("--tol %s is not a finite number > 0" % args.tol)
     rows = [_s_value(bit) for bit in args.s_grid.split(",")]
-    print("constant\t%d" % intertwining_constant())
+    print("constant\t%d" % assembly.intertwining_constant())
     errs = []
     for s, val in rows:
         errs.append(abs(val + 1))
@@ -308,7 +301,8 @@ def _tau_checked(table):
     """the kernel's tau(p) table against tau(2) = -24, Deligne's bound and
     Ramanujan's congruence mod 691; prints the first FAIL line it finds"""
     if table.ap(2) != -24:
-        print("FAIL tau(2) = %d from the %s kernel" % (table.ap(2), BACKEND))
+        print("FAIL tau(2) = %d from the %s kernel"
+              % (table.ap(2), kernels.BACKEND))
         return False
     for p in table.primes():
         a = table.ap(p)
@@ -325,7 +319,7 @@ def _tau_checked(table):
 
 
 def _cmd_tau(args):
-    table = delta_qexpansion(_table_x(args.x))
+    table = spectral.delta_qexpansion(_table_x(args.x))
     if not _tau_checked(table):
         return FAIL
     _write_out(args, table.to_csv())
@@ -353,13 +347,13 @@ def _n_grid(text, x):
 
 def _cmd_estimate_mr(args):
     x = _table_x(args.x)
-    rep = _r_flag(args.r, parse_weighting)
+    rep = _r_flag(args.r, spectral.parse_weighting)
     ns = _n_grid(args.n_grid, x)
-    table = delta_qexpansion(x)
+    table = spectral.delta_qexpansion(x)
     if not _tau_checked(table):
         return FAIL
-    rows = estimator_series(rep, table, ns)
-    _write_out(args, format_estimates(rows))
+    rows = spectral.estimator_series(rep, table, ns)
+    _write_out(args, spectral.format_estimates(rows))
     return OK
 
 
@@ -460,7 +454,7 @@ def _apply_config(args, flags):
         return dests[key]
     known = vars(args)
     flag_of = {dest: flag for flag, dest in dests.items()}
-    for key, val in read_config(_read(path), config_key).items():
+    for key, val in assembly.read_config(_read(path), config_key).items():
         cur = known[key]
         if cur is None:
             setattr(args, key, val)

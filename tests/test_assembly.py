@@ -398,7 +398,7 @@ def test_assemble_one_class_group(monkeypatch, tmp_path, capsys):
     assert builds == [("inf", 2, 3)]
     # the FAIL path breaks the residual down once more, on the same group
     del builds[:]
-    monkeypatch.setattr(cli, "residual_geometric", lambda f: Fraction(7))
+    monkeypatch.setattr(assembly, "residual_geometric", lambda f: Fraction(7))
     assert cli.run(["assemble", "--config", cfg, "--base-dir", base]) == 1
     assert "FAIL residual sides differ" in capsys.readouterr().out
     assert builds == [("inf", 2, 3)]

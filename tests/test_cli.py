@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import gl2trace
-from gl2trace import cli
+from gl2trace import assembly, cli, orbital
 from gl2trace.chargroup import FiniteAbelianGroup
 from gl2trace.cli import run
 from gl2trace.hecke import HeckeElement, LocalField
@@ -268,7 +268,7 @@ def test_intertwine(capsys):
 def test_intertwine_nan_error_fails(vals, fail, monkeypatch, capsys):
     " a NaN ratio never reads as verified "
     ratios = dict(zip((0.01, 0.001, 0.0001), vals))
-    monkeypatch.setattr(cli, "numeric_verify", lambda s: ratios[s])
+    monkeypatch.setattr(assembly, "numeric_verify", lambda s: ratios[s])
     assert run(["intertwine"]) == 1
     assert fail in capsys.readouterr().out
 
@@ -576,12 +576,12 @@ def test_config_keys_are_flag_names(argv, flag_line, dest_line, out, tp3,
 
 def count_phi_transforms(monkeypatch):
     calls = []
-    real = cli.phi_transform
+    real = orbital.phi_transform
 
     def counted(h, a):
         calls.append(a.m1)
         return real(h, a)
-    monkeypatch.setattr(cli, "phi_transform", counted)
+    monkeypatch.setattr(orbital, "phi_transform", counted)
     return calls
 
 
@@ -722,3 +722,87 @@ def test_perfbench_trace_names_resolve(tmp_path, capsys):
     assert [dict(vars(o)) for o in owners] == before
     # perfbench/run.py prints the backend in its header line
     assert isinstance(importlib.import_module("gl2trace.kernels").BACKEND, str)
+
+
+def _fresh_process(code, *args):
+    " stdout of code run by a fresh interpreter that finds gl2trace and perfbench "
+    src = os.path.dirname(os.path.dirname(gl2trace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(src)]))
+    proc = subprocess.run([sys.executable, "-c", code] + list(args), env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# the gl2trace modules that have run, and the classes they define; type()
+# reads no attribute, so it leaves a lazily registered module unrun
+_RAN = ("import contextlib, io, json, sys, types\n"
+        "def ran():\n"
+        "    return sorted(n for n, m in sys.modules.items()\n"
+        "                  if n.startswith('gl2trace.') and type(m) is types.ModuleType)\n"
+        "def owners():\n"
+        "    ms = [sys.modules[n] for n in ran()]\n"
+        "    return ms + [c for m in ms for c in vars(m).values()\n"
+        "                 if issubclass(type(c), type) and c.__module__ == m.__name__]\n"
+        "def tau():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return cli.run(['tau', '--x', '30'])\n")
+
+
+def test_import_runs_only_the_core():
+    """import gl2trace.cli registers every submodule but runs only cli and
+    the hecke and rings that it binds from; a tau job leaves the modules it
+    does not use unrun"""
+    code = (_RAN + "from gl2trace import cli\n"
+            "known = sorted(n for n in sys.modules if n.startswith('gl2trace.'))\n"
+            "print(json.dumps([known, ran(), tau(), ran()]))\n")
+    known, first, rc, after_tau = _fresh_process(code)
+    src = os.path.dirname(gl2trace.__file__)
+    assert known == sorted("gl2trace." + name[:-3] for name in os.listdir(src)
+                           if name.endswith(".py") and name != "__init__.py")
+    assert first == ["gl2trace.cli", "gl2trace.hecke", "gl2trace.rings"]
+    assert rc == 0
+    assert not {"gl2trace.assembly", "gl2trace.chargroup",
+                "gl2trace.orbital"} & set(after_tau)
+
+
+def test_perfbench_trace_over_unrun_modules(tmp_path):
+    """in a fresh process where only a tau job has run, the benchmark's
+    Tracer and OpCounter install over modules not yet run, see a poisson
+    run, and leave every binding as it was once uninstalled.  In pytest
+    other test files have run every module before
+    test_perfbench_trace_names_resolve starts."""
+    fn = tmp_path / "f.txt"
+    fn.write_text("group 2 3\n" + "".join("f %d,%d %d\n" % (a, b, a + b)
+                                          for a in range(2) for b in range(3)))
+    code = (_RAN + "from gl2trace import cli\n"
+            "from perfbench import trace\n"
+            "rc = [tau()]\n"
+            "unrun = sorted({'gl2trace.assembly', 'gl2trace.chargroup'} - set(ran()))\n"
+            "early = owners()\n"
+            "before = [dict(vars(o)) for o in early]\n"
+            "tracer, counter = trace.Tracer(), trace.OpCounter()\n"
+            "tracer.install()\n"
+            "counter.install()\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    rc.append(tracer.job_span(0, 'poisson', cli.run, sys.argv[1:]))\n"
+            "counter.uninstall()\n"
+            "tracer.uninstall()\n"
+            "# a wrapper left anywhere, also in a module the tracer ran\n"
+            "left = ['%s.%s' % (o.__name__, k) for o in owners()\n"
+            "        for k, v in vars(o).items()\n"
+            "        if hasattr(getattr(v, '__func__', getattr(v, 'fget', v)), '__wrapped__')]\n"
+            "print(json.dumps({\n"
+            "    'rc': rc, 'unrun': unrun, 'out': out.getvalue(), 'left': left,\n"
+            "    'spans': sorted({tracer.names[i] for i in tracer.name}),\n"
+            "    'exponent': counter.counts['chargroup.FiniteAbelianGroup.exponent.calls'],\n"
+            "    'restored': [dict(vars(o)) for o in early] == before}))\n")
+    res = _fresh_process(code, "poisson", "--f", str(fn), "--subgroup", "1,0")
+    assert res["unrun"] == ["gl2trace.assembly", "gl2trace.chargroup"]
+    assert res["rc"] == [0, 0]
+    assert res["out"] == "sum over H\t1\ndual side\t1\n"
+    assert {"cli.poisson", "chargroup.poisson_check", "chargroup.parse_group_function",
+            "chargroup.subgroup_generated", "chargroup.annihilator"} <= set(res["spans"])
+    assert res["exponent"] > 0
+    assert res["restored"] and res["left"] == []

@@ -26,7 +26,9 @@ N is how many pool jobs, in order, perfbench/run.py's warm-up would run
 before their summed in-process job time reaches run.WARMUP_S (1.5 s),
 and M is the pool size.  N = M means the warm-up uses up the pool, where
 run.py exits 1 before timing a job, so a change that moves N toward M
-shows before a benchmark run.
+shows before a benchmark run.  gl2trace loads a submodule on first use,
+so the first jobs that need one (chargroup on the first poisson job, say)
+also compile and run it, here as in run.py's warm-up.
 """
 
 import argparse
