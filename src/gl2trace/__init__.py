@@ -3,9 +3,10 @@ trace-comparison toolkit for GL(2) over p-adic fields at desk scale.
 
 Every submodule is registered in sys.modules at package import, but
 compiles and runs only on the first read of one of its attributes, so a
-subcommand pays for the modules it uses.  Import names from the
-submodules (`from gl2trace.hecke import convolve`); the package root
-re-exports none.
+subcommand pays for the modules it uses.  `gl2trace.cli` binds no
+submodule name, so `import gl2trace.cli` runs cli alone.  Import names
+from the submodules (`from gl2trace.hecke import convolve`); the package
+root re-exports none.
 """
 
 import importlib.util

@@ -10,16 +10,20 @@ import argparse
 import math
 import sys
 
-# modules, not names: a module runs on the first read of one of its
-# attributes (see __init__.py), so a subcommand runs only what it uses
+# modules, not names: cli binds no submodule name, and a module runs on
+# the first read of one of its attributes (see __init__.py), so importing
+# cli runs cli alone and a subcommand runs only what it uses
 from . import (assembly, basicfn, chargroup, hecke, kernels, orbital, rings,
                spectral)
-# the one name bound here: perfbench/test_perfbench.py checks that the
-# tracer rebinds cli.convolve with hecke.convolve.  It runs hecke and rings,
-# which every subcommand but poisson and class-group needs anyway
-from .hecke import convolve
 
 OK, FAIL, USAGE = 0, 1, 2
+
+
+def __getattr__(name):
+    # cli.convolve is whatever hecke.convolve is now, a tracer's wrapper too
+    if name == "convolve":
+        return hecke.convolve
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class _Usage(ValueError):
@@ -99,7 +103,7 @@ def _cmd_satake(args):
 def _cmd_convolve(args):
     h1 = _load_hecke(args.infile, args.q)
     h2 = _load_hecke(args.in2, args.q)
-    prod = convolve(h1, h2)
+    prod = hecke.convolve(h1, h2)
     _write_out(args, prod.to_text())
     # homomorphism self-check on the pair just convolved
     if not hecke.transform_is_multiplicative(h1, h2, prod):

@@ -11,7 +11,7 @@ import cmath
 import itertools
 import math
 
-from .basicfn import RepSpec, rep_weights
+from . import basicfn
 from .kernels import tau_table
 
 
@@ -104,16 +104,16 @@ def parse_weighting(name):
     s = name.strip().lower()
     if s in ("proxy", "adjoint-proxy", "adjproxy"):
         return AdjointProxy()
-    return RepSpec.parse(name)
+    return basicfn.RepSpec.parse(name)
 
 
 def _trace_fn(r):
     " (alpha, beta) -> tr r(diag(alpha, beta)), with r's weights listed once "
-    if isinstance(r, RepSpec):
-        weights = rep_weights(r)
-        return lambda alpha, beta: sum(alpha ** e1 * beta ** e2
-                                       for e1, e2 in weights)
-    return r.trace
+    if isinstance(r, AdjointProxy):
+        return r.trace
+    weights = basicfn.rep_weights(r)
+    return lambda alpha, beta: sum(alpha ** e1 * beta ** e2
+                                   for e1, e2 in weights)
 
 
 def pairwise_sum(xs):
