@@ -15,23 +15,20 @@ denominator, divided once per output value, so they are exact.  They
 take coefficients in Q[v] and raise TypeError on Q(i).  The tests keep
 ring-arithmetic oracles.
 
-convolve counts cosets once per distinct pair of key differences in a
-call, into a table of integer structure constants that every key pair
-with those differences reuses, since a double coset's translate by a
-central element has the same coset counts.  The Satake transform and
-the symmetric product have integer cores (_satake_parts,
-_product_parts) under their LaurentQ wrappers, and
-transform_is_multiplicative checks S(h1 * h2) = S(h1) S(h2) on the
-cores alone, cross-multiplying each side by the other's denominator.
+convolve takes its integer structure constants for 1_(m1,0) * 1_(m2,0)
+from Macdonald's closed form, one short list per key pair; a double
+coset's translate by a central element has the same coset counts, so
+those cover every key.  The tests keep the coset-class count it
+replaced.  The Satake transform and the symmetric product have integer
+cores (_satake_parts, _product_parts) under their LaurentQ wrappers, and
+transform_is_multiplicative checks S(h1 * h2) = S(h1) S(h2) on the cores
+alone, cross-multiplying each side by the other's denominator.
 """
 
 import math
 from fractions import Fraction
 
 from .rings import LaurentQ, QiNumber, rational
-
-INF = None  # valuation of zero
-
 
 class LocalField:
     """Residue cardinality and uniformizer bookkeeping."""
@@ -69,21 +66,6 @@ def coset_degree(field, key):
     if m == 0:
         return 1
     return field.q ** (m - 1) * (field.q + 1)
-
-
-def _coset_classes(q, m):
-    """Right-coset representatives of K.diag(p^m, 1).K (m >= 0) grouped by
-    the data that Smith-form bookkeeping sees: (i, val u, multiplicity)
-    with the rep shape [[p^i, u], [0, p^(m-i)]].  val u = INF for u = 0."""
-    if m == 0:
-        return [(0, INF, 1)]
-    classes = [(0, INF, 1)]
-    for i in range(1, m):
-        classes.append((i, 0, q ** i - q ** (i - 1)))
-    classes.append((m, INF, 1))
-    for w in range(m):
-        classes.append((m, w, q ** (m - w) - q ** (m - w - 1)))
-    return classes
 
 
 class HeckeElement:
@@ -221,11 +203,9 @@ def convolve(h1, h2):
     1_(a1,b1) * 1_(a2,b2) is 1_(m1,0) * 1_(m2,0) translated by the
     central element diag(p^(b1+b2), p^(b1+b2)), where m = a - b: the
     coset count that puts n on the output key (m1+m2-s, s) puts the same
-    n on (a1+a2-s, b1+b2+s).  So each call tabulates the counts once per
-    distinct unordered pair {m1, m2} (the algebra is commutative), in a
-    dict that lives only for the call, and each key pair adds its
-    integer coefficient product times n to an integer pair per output
-    key, divided once at the end.
+    n on (a1+a2-s, b1+b2+s).  So each key pair reads the closed-form
+    counts for (m1, m2) and adds its integer coefficient product times n
+    to an integer pair per output key, divided once at the end.
     """
     if h1.field != h2.field:
         raise ValueError("mismatched base fields")
@@ -233,18 +213,13 @@ def convolve(h1, h2):
     q = field.q
     den1, parts1 = _integer_parts(h1.coeffs, "Hecke convolutions")
     den2, parts2 = _integer_parts(h2.coeffs, "Hecke convolutions")
-    tables = {}
     acc = {}
     for (a1, b1), (x1, y1) in parts1.items():
         for (a2, b2), (x2, y2) in parts2.items():
-            m = (a1 - b1, a2 - b2) if a1 - b1 <= a2 - b2 else (a2 - b2, a1 - b1)
-            table = tables.get(m)
-            if table is None:
-                table = tables[m] = _structure_constants(q, *m)
             # (x1 + y1 v)(x2 + y2 v) with v^2 = q
             ca, cb = x1 * x2 + q * y1 * y2, x1 * y2 + y1 * x2
             a, b = a1 + a2, b1 + b2
-            for s, n in table:
+            for s, n in _structure_constants(q, a1 - b1, a2 - b2):
                 key = (a - s, b + s)
                 sa, sb = acc.get(key, (0, 0))
                 acc[key] = (sa + ca * n, sb + cb * n)
@@ -254,27 +229,17 @@ def convolve(h1, h2):
 
 
 def _structure_constants(q, m1, m2):
-    """[(s, n)]: 1_(m1,0) * 1_(m2,0) = sum of n * 1_(m1+m2-s, s), where
-    0 <= s <= min(m1, m2): x = (xy) y^-1 has least elementary divisor 0,
-    so that of xy is at most m2, and likewise at most m1.
-
-    (f*g)(z) sums f(x) g(x^-1 z) over right-coset representatives x of
-    the double coset of diag(p^m1, 1); only the Smith type of x^-1 z
-    matters, so representatives are counted in valuation classes."""
-    classes = _coset_classes(q, m1)
-    out = []
-    for s in range(min(m1, m2) + 1):
-        n = 0
-        for i, w, count in classes:
-            # Smith valuations of x^-1 z for x in the class,
-            # z = diag(p^(m1+m2-s), p^s)
-            terms = [m1 + m2 - s - i, s - m1 + i]
-            if w is not INF:
-                terms.append(w + s - m1)
-            if min(terms) == 0:
-                n += count
-        if n:
-            out.append((s, n))
+    """[(s, n)]: 1_(m1,0) * 1_(m2,0) = sum of n * 1_(m1+m2-s, s) over
+    0 <= s <= m = min(m1, m2), in closed form (Macdonald, Spherical
+    functions on a group of p-adic type, 1971): n = 1 at s = 0,
+    (q - 1) q^(s-1) for 0 < s < m, and at s = m > 0 either q^m when
+    m1 != m2 or (q + 1) q^(m-1) when m1 = m2, which for m = 1 is
+    T_p^2 = T_(p^2) + (q + 1) R_p."""
+    m = min(m1, m2)
+    if not m:
+        return [(0, 1)]
+    out = [(0, 1)] + [(s, (q - 1) * q ** (s - 1)) for s in range(1, m)]
+    out.append((m, q ** m if m1 != m2 else (q + 1) * q ** (m - 1)))
     return out
 
 

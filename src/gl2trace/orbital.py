@@ -10,11 +10,14 @@ collapses, after Iwasawa reduction, to
 
 which the unipotent-integral casework evaluates exactly; the tree
 oracle recomputes it by brute-force summation over explicit matrices,
-whose entries it builds from the triple, so the two paths stay
+whose entries it builds from the triple.  It reads each
+representative's own valuation off a sieve and never the closed-form
+coset counts (q - 1) q^k that n_integral sums, so the two paths stay
 independent.
 """
 
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 from .basicfn import RationalFn, basic_coeff
@@ -99,11 +102,11 @@ def tree_orbital_oracle(h, gamma, depth):
 
     The representatives are [[t1, (t1 - t2) j/q^depth], [0, t2]] for
     j < q^depth, with t1, t2 built from the class's valuation triple.
-    v(t1), v(t2) and v(t1 t2) are read once; each representative's
-    corner entry has valuation v(n j) - v(e) - depth, where
-    t1 - t2 = n/e, read from the integer n*j.  The least of the three
-    entry valuations gives its double coset, and h is summed over the
-    count of representatives in each coset."""
+    v(t1), v(t2), v(t1 t2) and v(t1 - t2) are read once; each
+    representative's corner entry has valuation v(t1 - t2) + v(j) - depth,
+    with v(j) from _valuation_counts (infinite for j = 0).  The least of
+    the three entry valuations gives its double coset, and h is summed
+    over the count of representatives in each coset."""
     if depth < 0:
         raise ValueError("tree depth = %d is negative: it counts denominator "
                          "exponents >= 0" % depth)
@@ -112,14 +115,12 @@ def tree_orbital_oracle(h, gamma, depth):
         raise ValueError("the tree oracle needs explicit rational entries, "
                          "and q = %d is not a prime" % q)
     t1, t2 = _entries(gamma)
-    diff = t1 - t2
     diag = min(valuation(t1, q)[0], valuation(t2, q)[0])
     dv = valuation(t1 * t2, q)[0]
-    num, shift = diff.numerator, valuation(diff.denominator, q)[0] + depth
-    counts = {}
-    for j in range(q ** depth):
-        d1 = min(diag, valuation(num * j, q)[0] - shift)
-        counts[d1] = counts.get(d1, 0) + 1
+    corner = valuation(t1 - t2, q)[0] - depth
+    counts = Counter({diag: 1})   # j = 0
+    for vj, n in _valuation_counts(q, q ** depth).items():
+        counts[min(diag, corner + vj)] += n
     total = LaurentQ(0, 0, q)
     for d1, n in counts.items():
         c = h.coeffs.get((dv - d1, d1))
@@ -133,6 +134,31 @@ def tree_orbital_oracle(h, gamma, depth):
         if tail:
             warnings.warn("tree truncation at depth %d has not stabilized" % depth)
     return gamma.disc_half() * total
+
+
+SIEVE_BLOCK = 1 << 16   # integers per block of _valuation_counts
+
+
+def _valuation_counts(q, end):
+    """Counter of v(j), the exponent of q in j, over 0 < j < end, from
+    blocks of at most SIEVE_BLOCK integers, so memory stays bounded."""
+    counts = Counter()
+    for start in range(1, end, SIEVE_BLOCK):
+        counts.update(_sieve(q, start, min(SIEVE_BLOCK, end - start)))
+    return counts
+
+
+def _sieve(q, start, size):
+    """v(j) for start <= j < start + size (start > 0), one byte each: the
+    multiples of q, q^2, ... are marked 1, 2, ... by slice assignment,
+    so every j gets its own valuation."""
+    vals = bytearray(size)
+    k, qk = 1, q
+    while qk < start + size:
+        first = -start % qk
+        vals[first::qk] = bytearray((k,)) * len(range(first, size, qk))
+        k, qk = k + 1, qk * q
+    return vals
 
 
 def phi_transform(h, a):

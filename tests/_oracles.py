@@ -1,5 +1,7 @@
 """Code that only tests use: earlier implementations kept as oracles for
-the kernels that replaced them, samplers, the character and S-class
+the kernels that replaced them (the coset-class count behind Hecke
+structure constants, the tree oracle's loop over representatives),
+samplers, the character and S-class
 group evaluations that no subcommand calls, the trivial Satake
 parameter, damaged Hecke products for the convolve self-check, the
 residual and one-dimensional sums computed character by character, and
@@ -9,14 +11,17 @@ group function is the list of its values in group.elements() order, and
 a subgroup is given by a list of generators."""
 
 import math
+import warnings
 from fractions import Fraction
 
 from gl2trace.assembly import NormalizationConstants
 from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
                                 _cyclo_reduce, annihilator, hilbert_symbol,
                                 legendre, subgroup_generated)
+from gl2trace.chargroup import is_prime
 from gl2trace.hecke import HeckeElement, SatakeParameter, coset_degree
-from gl2trace.rings import LaurentQ, QiNumber
+from gl2trace.orbital import _entries
+from gl2trace.rings import LaurentQ, QiNumber, valuation
 
 
 # -- characters and cyclotomics ---------------------------------------------
@@ -277,6 +282,80 @@ def quad_char_eval(d, t):
     if not t:
         raise ValueError("character value at t = 0: t must be nonzero")
     return kronecker(d, t.numerator) * kronecker(d, t.denominator)
+
+
+# -- Hecke structure constants and the tree oracle -------------------------
+
+
+def _coset_classes(q, m):
+    """Right-coset representatives of K.diag(p^m, 1).K (m >= 0) grouped by
+    the data that Smith-form bookkeeping sees: (i, val u, multiplicity)
+    with the rep shape [[p^i, u], [0, p^(m-i)]].  val u = None for u = 0."""
+    if m == 0:
+        return [(0, None, 1)]
+    classes = [(0, None, 1)]
+    for i in range(1, m):
+        classes.append((i, 0, q ** i - q ** (i - 1)))
+    classes.append((m, None, 1))
+    for w in range(m):
+        classes.append((m, w, q ** (m - w) - q ** (m - w - 1)))
+    return classes
+
+
+def class_count_constants(q, m1, m2):
+    """hecke._structure_constants as it was before the closed form:
+    (f*g)(z) sums f(x) g(x^-1 z) over right-coset representatives x of
+    the double coset of diag(p^m1, 1), counted in valuation classes, and
+    z = diag(p^(m1+m2-s), p^s) gets the classes where the least Smith
+    valuation of x^-1 z is 0."""
+    classes = _coset_classes(q, m1)
+    out = []
+    for s in range(min(m1, m2) + 1):
+        n = 0
+        for i, w, count in classes:
+            terms = [m1 + m2 - s - i, s - m1 + i]
+            if w is not None:
+                terms.append(w + s - m1)
+            if min(terms) == 0:
+                n += count
+        if n:
+            out.append((s, n))
+    return out
+
+
+def loop_tree_orbital_oracle(h, gamma, depth):
+    """orbital.tree_orbital_oracle as it was before the valuation sieve:
+    one rings.valuation of the integer n*j per representative j, counted
+    into a dict by double coset, and the same stabilization warning."""
+    if depth < 0:
+        raise ValueError("tree depth = %d is negative: it counts denominator "
+                         "exponents >= 0" % depth)
+    q = h.field.q
+    if not is_prime(q):
+        raise ValueError("the tree oracle needs explicit rational entries, "
+                         "and q = %d is not a prime" % q)
+    t1, t2 = _entries(gamma)
+    diff = t1 - t2
+    diag = min(valuation(t1, q)[0], valuation(t2, q)[0])
+    dv = valuation(t1 * t2, q)[0]
+    num, shift = diff.numerator, valuation(diff.denominator, q)[0] + depth
+    counts = {}
+    for j in range(q ** depth):
+        d1 = min(diag, valuation(num * j, q)[0] - shift)
+        counts[d1] = counts.get(d1, 0) + 1
+    total = LaurentQ(0, 0, q)
+    for d1, n in counts.items():
+        c = h.coeffs.get((dv - d1, d1))
+        if c is not None:
+            total = total + c * n
+    if h.coeffs:
+        minb = min(b for (_, b) in h.coeffs)
+        deep = min(gamma.m1, gamma.m2, gamma.d - depth - 1)
+        tail = any((gamma.m1 + gamma.m2 - e, e) in h.coeffs
+                   for e in range(minb, min(deep, min(gamma.m1, gamma.m2)) + 1))
+        if tail:
+            warnings.warn("tree truncation at depth %d has not stabilized" % depth)
+    return gamma.disc_half() * total
 
 
 # -- Satake parameters ------------------------------------------------------

@@ -16,12 +16,14 @@ import pytest
 
 import gl2trace
 from gl2trace.hecke import (HeckeElement, LocalField, SatakeParameter,
-                            SymLaurent, _coset_classes, convolve, coset_degree,
-                            inverse_satake, n_integral, satake_transform,
-                            spherical_trace, transform_is_multiplicative)
+                            SymLaurent, _structure_constants, convolve,
+                            coset_degree, inverse_satake, n_integral,
+                            satake_transform, spherical_trace,
+                            transform_is_multiplicative)
 from gl2trace.rings import LaurentQ, QiNumber
 
-from _oracles import damaged_products, trivial_parameter
+from _oracles import (_coset_classes, class_count_constants, damaged_products,
+                      trivial_parameter)
 
 INF = 10 ** 9
 
@@ -241,6 +243,16 @@ def test_convolve_matches_loop_oracle(q):
     h2 = HeckeElement(field, {(1, 0): 1, (0, 0): 1})
     want = {(2, 0): 1, (1, 0): 1, (2, 1): -(q + 1)}
     assert convolve(h1, h2) == loop_convolve(h1, h2) == HeckeElement(field, want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_structure_constants_match_class_count(q):
+    """Macdonald's closed form against the coset-class count it replaced,
+    entry for entry, for every pair of key differences up to 12"""
+    for m1 in range(13):
+        for m2 in range(13):
+            assert _structure_constants(q, m1, m2) == \
+                class_count_constants(q, m1, m2), (m1, m2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

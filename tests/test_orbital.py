@@ -1,7 +1,11 @@
 """Orbital integrals against the tree oracle; Phi relation; zeta fits."""
 
+import ast
+import os
 import random
+import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,10 +13,14 @@ import pytest
 from gl2trace.basicfn import STD, RepSpec
 from gl2trace.chargroup import is_prime
 from gl2trace.hecke import HeckeElement, LocalField
-from gl2trace.orbital import (SplitClass, _entries, measure_phi_exponent,
-                              orbital_zeta, phi_transform, rational_reconstruct,
-                              split_orbital, tree_orbital_oracle)
-from gl2trace.rings import LaurentQ
+from gl2trace.orbital import (SIEVE_BLOCK, SplitClass, _entries, _valuation_counts,
+                              measure_phi_exponent, orbital_zeta, phi_transform,
+                              rational_reconstruct, split_orbital, tree_orbital_oracle)
+from gl2trace.rings import LaurentQ, valuation
+
+from _oracles import loop_tree_orbital_oracle
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INF = 10 ** 9
 
@@ -237,6 +245,95 @@ def test_tree_oracle_matches_matrix_oracle(q):
                 assert got == want and str(got) == str(want), (g, depth, h)
                 assert ([str(w.message) for w in got_w]
                         == [str(w.message) for w in want_w]), (g, depth, h)
+
+
+def recorded(oracle, h, g, depth):
+    " (value, warning messages) of one oracle call "
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = oracle(h, g, depth)
+    return value, [str(w.message) for w in caught]
+
+
+def test_gamma_data_covers_the_benchmark_classes():
+    " every (m1, m2, d) shape of the benchmark's orbital jobs is in GAMMA_DATA "
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    shapes = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets] == ["ORBITAL_CLASSES"]]
+    assert len(shapes) == 1 and set(shapes[0]) <= set(GAMMA_DATA)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_sieved_tree_oracle_matches_loop_oracle(q):
+    """The valuation sieve against the loop over representatives it
+    replaced, on every class of GAMMA_DATA, at every depth with
+    q^depth <= 5000, for random elements with v-parts and negative keys,
+    the unit and the empty element: equal values, printed forms and
+    warnings, so the warning fires on exactly the same inputs"""
+    rng = random.Random(2300 + q)
+    field = LocalField(q)
+    keys = [(a, b) for b in range(-2, 3) for a in range(b, 3)]
+    hs = [HeckeElement(field, {
+        key: LaurentQ(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * rng.randint(0, 1), q)
+        for key in rng.sample(keys, rng.randint(1, 5))}) for _ in range(4)]
+    hs += [HeckeElement.unit(field), HeckeElement(field)]
+    warned = 0
+    for g in oracle_classes(field):
+        depth = 0
+        while q ** depth <= 5000:
+            for h in hs:
+                got, got_w = recorded(tree_orbital_oracle, h, g, depth)
+                want, want_w = recorded(loop_tree_orbital_oracle, h, g, depth)
+                assert got == want and str(got) == str(want), (g, depth, h)
+                assert got_w == want_w, (g, depth, h)
+                warned += bool(got_w)
+            depth += 1
+    assert warned   # the comparison covers inputs that warn
+
+
+@pytest.mark.parametrize("q, depth", [(2, 17), (3, 11)])
+def test_sieved_tree_oracle_across_blocks(q, depth):
+    " more than one sieve block: the same value as the loop oracle "
+    assert q ** depth > SIEVE_BLOCK
+    field = LocalField(q)
+    h = HeckeElement(field, {(1, 0): LaurentQ(2, Fraction(1, 3), q), (0, 0): 1,
+                             (2, -1): Fraction(-5, 2)})
+    for g in (SplitClass(field, 1, 0), SplitClass(field, 0, -1),
+              SplitClass(field, 1, 1, d=3)):
+        assert recorded(tree_orbital_oracle, h, g, depth) \
+            == recorded(loop_tree_orbital_oracle, h, g, depth), g
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_valuation_counts_at_block_edges(q):
+    " the sieve counts v(j) over 0 < j < end like one valuation per j "
+    ends = [0, 1, 2, q, q * q + 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, SIEVE_BLOCK + 2,
+            2 * SIEVE_BLOCK + q]
+    want, j = Counter(), 1
+    for end in ends:
+        while j < end:
+            want[valuation(j, q)[0]] += 1
+            j += 1
+        assert _valuation_counts(q, end) == want, end
+
+
+def test_tree_oracle_memory_stays_within_a_block():
+    """At q = 2, depth 18 the oracle sieves 2^18 representatives in four
+    blocks; its peak traced memory stays under one block's worth, a byte
+    per integer of the block and the marking slice of half as many, not
+    the 2^18 bytes of one sieve over all of them"""
+    field = LocalField(2)
+    h = HeckeElement(field, {(1, 0): 1, (0, 0): 3})
+    tracemalloc.start()
+    try:
+        tree_orbital_oracle(h, SplitClass(field, 1, 0), 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * SIEVE_BLOCK < 2 ** 18
 
 
 def test_oracle_warns_when_shallow():
