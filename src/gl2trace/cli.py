@@ -103,13 +103,14 @@ def _cmd_satake(args):
 def _cmd_convolve(args):
     h1 = _load_hecke(args.infile, args.q)
     h2 = _load_hecke(args.in2, args.q)
-    prod = hecke.convolve(h1, h2)
-    _write_out(args, prod.to_text())
-    # homomorphism self-check on the pair just convolved
-    if not hecke.transform_is_multiplicative(h1, h2, prod):
-        print("FAIL transform of the product differs from the product "
-              "of transforms")
+    try:
+        # convolve checks S(h1 * h2) = S(h1) S(h2) before it returns, so a
+        # product that fails it is never written
+        prod = hecke.convolve(h1, h2)
+    except hecke.HomomorphismError as e:
+        print("FAIL %s" % e)
         return FAIL
+    _write_out(args, prod.to_text())
     return OK
 
 
@@ -190,10 +191,15 @@ def _cmd_phi_check(args):
               hecke.HeckeElement.char(field, (1, 0)),
               hecke.HeckeElement.char(field, (2, 0))]
     exponents = set()
+    zero = rings.LaurentQ(0, 0, args.q)
     for h in hs:
+        # f_G(diag(p^m, 1)) is the (m, 0) coefficient of S(h): the
+        # transform's running sums, a second path beside phi_transform's
+        # N-integral
+        s = hecke.satake_transform(h).coeffs
         for m in range(1, args.dmax + 1):
             a = orbital.SplitClass(field, m, 0)
-            f = orbital.split_orbital(h, a)
+            f = s.get((m, 0), zero)
             want = rings.LaurentQ.v_power(a.m2 - a.m1, args.q) * f
             got = orbital.phi_transform(h, a)
             if got != want:

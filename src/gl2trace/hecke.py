@@ -21,8 +21,12 @@ coset's translate by a central element has the same coset counts, so
 those cover every key.  The tests keep the coset-class count it
 replaced.  The Satake transform and the symmetric product have integer
 cores (_satake_parts, _product_parts) under their LaurentQ wrappers, and
-transform_is_multiplicative checks S(h1 * h2) = S(h1) S(h2) on the cores
-alone, cross-multiplying each side by the other's denominator.
+convolve checks its own product on them: S(h1 * h2) = S(h1) S(h2) on the
+integer tables it has just built, both over den1 * den2, raising
+HomomorphismError on a mismatch.
+
+There is one product per object and no other arithmetic: convolve for
+Hecke elements, SymLaurent * SymLaurent for transforms.
 """
 
 import math
@@ -111,26 +115,6 @@ class HeckeElement:
     def __hash__(self):
         return hash((self.field, tuple(sorted((k, v) for k, v in self.coeffs.items()))))
 
-    def __add__(self, other):
-        if not isinstance(other, HeckeElement):
-            raise TypeError("cannot add %s to a HeckeElement"
-                            % type(other).__name__)
-        if other.field != self.field:
-            raise ValueError("mismatched base fields %s and %s"
-                             % (self.field, other.field))
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, LaurentQ(0, 0, self.field.q)) + c
-        return HeckeElement(self.field, out)
-
-    def scale(self, c):
-        return HeckeElement(self.field, {k: v * c for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, HeckeElement):
-            return convolve(self, other)
-        return self.scale(other)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -197,6 +181,10 @@ def _coefficient(tok):
         raise ValueError("coefficient %s has denominator 0" % tok) from None
 
 
+class HomomorphismError(RuntimeError):
+    " a product of convolve whose transform is not the product of transforms "
+
+
 def convolve(h1, h2):
     """Exact convolution with vol(K) = 1, via structure constants.
 
@@ -206,9 +194,15 @@ def convolve(h1, h2):
     n on (a1+a2-s, b1+b2+s).  So each key pair reads the closed-form
     counts for (m1, m2) and adds its integer coefficient product times n
     to an integer pair per output key, divided once at the end.
+
+    Before it divides, it checks the Satake homomorphism
+    S(h1 * h2) = S(h1) S(h2) on those integer tables: both sides lie
+    over den1 * den2, so they compare with ==, and a mismatch raises
+    HomomorphismError.
     """
     if h1.field != h2.field:
-        raise ValueError("mismatched base fields")
+        raise ValueError("mismatched base fields %s and %s"
+                         % (h1.field, h2.field))
     field = h1.field
     q = field.q
     den1, parts1 = _integer_parts(h1.coeffs, "Hecke convolutions")
@@ -223,9 +217,14 @@ def convolve(h1, h2):
                 key = (a - s, b + s)
                 sa, sb = acc.get(key, (0, 0))
                 acc[key] = (sa + ca * n, sb + cb * n)
+    acc = {k: ab for k, ab in acc.items() if ab != (0, 0)}
+    want = _product_parts(q, _satake_parts(q, parts1), _satake_parts(q, parts2))
+    if _satake_parts(q, acc) != {k: ab for k, ab in want.items() if ab != (0, 0)}:
+        raise HomomorphismError("transform of the product differs from the "
+                                "product of transforms")
     den = den1 * den2
     return HeckeElement(field, {k: LaurentQ(Fraction(a, den), Fraction(b, den), q)
-                                for k, (a, b) in acc.items() if a or b})
+                                for k, (a, b) in acc.items()})
 
 
 def _structure_constants(q, m1, m2):
@@ -333,29 +332,12 @@ class SymLaurent:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __add__(self, other):
-        if not isinstance(other, SymLaurent):
-            raise TypeError("cannot add %s to a SymLaurent"
-                            % type(other).__name__)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return SymLaurent(out, self.q if self.q is not None else other.q)
-
-    def __neg__(self):
-        return SymLaurent({k: -c for k, c in self.coeffs.items()}, self.q)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return SymLaurent({k: v * c for k, v in self.coeffs.items()}, self.q)
-
     def __mul__(self, other):
         """Product on canonical keys (_product_parts on integer parts),
         divided once by the product of the two denominators."""
         if not isinstance(other, SymLaurent):
-            return self.scale(other)
+            raise TypeError("cannot multiply a SymLaurent by %s"
+                            % type(other).__name__)
         q = self.q if self.q is not None else other.q
         den1, parts1 = _integer_parts(self.coeffs, "SymLaurent products")
         den2, parts2 = _integer_parts(other.coeffs, "SymLaurent products")
@@ -363,8 +345,6 @@ class SymLaurent:
         den = den1 * den2
         return SymLaurent({k: LaurentQ(Fraction(a, den), Fraction(b, den), q)
                            for k, (a, b) in acc.items() if a or b}, q)
-
-    __rmul__ = scale
 
     def evaluate(self, y1, y2):
         """Substitute Y1 = y1, Y2 = y2 and v = +sqrt(q) for Gaussian
@@ -489,26 +469,6 @@ def _satake_parts(q, parts):
                 out[(s - m2, m2)] = (xa * w, xb * w)
             ta, tb = q * ta + ca, q * tb + cb
     return out
-
-
-def transform_is_multiplicative(h1, h2, prod):
-    """S(prod) == S(h1) * S(h2), the homomorphism property that checks a
-    convolution prod = h1 * h2.  Both sides stay integer tables over a
-    known denominator (that of prod, and den1 * den2) and are compared
-    key by key by cross-multiplication, with no coefficient built."""
-    q = prod.field.q
-    den1, parts1 = _integer_parts(h1.coeffs, "Satake transforms")
-    den2, parts2 = _integer_parts(h2.coeffs, "Satake transforms")
-    den, parts = _integer_parts(prod.coeffs, "Satake transforms")
-    lhs = _satake_parts(q, parts)
-    rhs = _product_parts(q, _satake_parts(q, parts1), _satake_parts(q, parts2))
-    n = den1 * den2
-    for key in lhs.keys() | rhs.keys():
-        la, lb = lhs.get(key, (0, 0))
-        ra, rb = rhs.get(key, (0, 0))
-        if la * n != ra * den or lb * n != rb * den:
-            return False
-    return True
 
 
 def inverse_satake(poly, field=None):

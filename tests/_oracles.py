@@ -1,11 +1,11 @@
 """Code that only tests use: earlier implementations kept as oracles for
 the kernels that replaced them (the coset-class count behind Hecke
 structure constants, the tree oracle's loop over representatives),
-samplers, the character and S-class
-group evaluations that no subcommand calls, the trivial Satake
-parameter, damaged Hecke products for the convolve self-check, the
-residual and one-dimensional sums computed character by character, and
-the Eichler-Selberg trace formula as a second path to
+samplers, the character and S-class group evaluations that no
+subcommand calls, Hecke elements summed from terms, the trivial Satake
+parameter, damaged Hecke structure constants for the convolve
+self-check, the residual and one-dimensional sums computed character by
+character, and the Eichler-Selberg trace formula as a second path to
 tau.  As in gl2trace.chargroup, a character is its exponent tuple, a
 group function is the list of its values in group.elements() order, and
 a subgroup is given by a list of generators."""
@@ -19,7 +19,8 @@ from gl2trace.chargroup import (CycloNumber, FiniteAbelianGroup, _add_character,
                                 _cyclo_reduce, annihilator, hilbert_symbol,
                                 legendre, subgroup_generated)
 from gl2trace.chargroup import is_prime
-from gl2trace.hecke import HeckeElement, SatakeParameter, coset_degree
+from gl2trace.hecke import (HeckeElement, SatakeParameter, _structure_constants,
+                            coset_degree)
 from gl2trace.orbital import _entries
 from gl2trace.rings import LaurentQ, QiNumber, valuation
 
@@ -323,6 +324,24 @@ def class_count_constants(q, m1, m2):
     return out
 
 
+DAMAGES = ("a count changed", "an entry added", "an entry dropped")
+
+
+def damaged_constants(which):
+    """hecke._structure_constants with damage number `which` of DAMAGES,
+    for the convolve self-check: the s = 0 count raised by one, an entry
+    (-1, 1) added (its key (m1 + m2 + 1, -1) is dominant, and no true
+    count reaches it), or the last entry dropped"""
+    def constants(q, m1, m2):
+        out = _structure_constants(q, m1, m2)
+        if which == 0:
+            return [(0, out[0][1] + 1)] + out[1:]
+        if which == 1:
+            return out + [(-1, 1)]
+        return out[:-1]
+    return constants
+
+
 def loop_tree_orbital_oracle(h, gamma, depth):
     """orbital.tree_orbital_oracle as it was before the valuation sieve:
     one rings.valuation of the integer n*j per representative j, counted
@@ -358,7 +377,15 @@ def loop_tree_orbital_oracle(h, gamma, depth):
     return gamma.disc_half() * total
 
 
-# -- Satake parameters ------------------------------------------------------
+# -- Hecke elements and Satake parameters ----------------------------------
+
+
+def hecke_sum(field, terms):
+    " the Hecke element sum of c * 1_key over the pairs (key, c) of terms "
+    coeffs = {}
+    for key, c in terms:
+        coeffs[key] = coeffs.get(key, 0) + c
+    return HeckeElement(field, coeffs)
 
 
 def trivial_parameter():
@@ -367,18 +394,6 @@ def trivial_parameter():
 
 
 # -- assembly ---------------------------------------------------------------
-
-
-def damaged_products(prod):
-    """three wrong products near a nonzero prod: one key's v-part
-    perturbed, one key added, one key dropped"""
-    q = prod.field.q
-    key = prod.support()[0]
-    bent, extra, dropped = dict(prod.coeffs), dict(prod.coeffs), dict(prod.coeffs)
-    bent[key] = bent[key] + LaurentQ(0, Fraction(1, 7), q)
-    extra[(9, -9)] = LaurentQ(1, 0, q)
-    del dropped[key]
-    return [HeckeElement(prod.field, c) for c in (bent, extra, dropped)]
 
 
 def residual_breakdown_oracle(f, symbol=hilbert_symbol):

@@ -24,8 +24,8 @@ from gl2trace.chargroup import (class_group_mod_squares, hilbert_symbol,
 from gl2trace.hecke import HeckeElement, LocalField
 from gl2trace.rings import LaurentQ
 
-from _oracles import (format_pieces, kronecker, one_dim_spectral_oracle,
-                      project, residual_breakdown_oracle)
+from _oracles import (format_pieces, hecke_sum, kronecker,
+                      one_dim_spectral_oracle, project, residual_breakdown_oracle)
 
 INF = "inf"
 
@@ -272,15 +272,14 @@ def random_local(rng, p):
 
     def coeff():
         return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
-    h = HeckeElement.char(fld, (0, 0), 0)      # the zero element
+    terms = []
     for _ in range(rng.randint(1, 3)):
         b = rng.randint(-2, 1)
-        h = h + HeckeElement.char(fld, (b + rng.randint(0, 2), b), coeff())
+        terms.append(((b + rng.randint(0, 2), b), coeff()))
     if rng.random() < 0.4:
         c = coeff()
-        h = (h + HeckeElement.char(fld, (1, 0), c)
-             + HeckeElement.char(fld, (2, -1), -c / (p - 1)))
-    return h
+        terms += [((1, 0), c), ((2, -1), -c / (p - 1))]
+    return hecke_sum(fld, terms)
 
 
 def random_profile(rng):
@@ -328,9 +327,7 @@ def test_torus_support_matches_full_grid():
 def test_support_reads_no_profile_at_a_zero_factor(cosets, zero, want):
     " a degree-1 piece at an irrational log is not read where it meets a 0 "
     fld = LocalField(2)
-    h = HeckeElement.char(fld, *cosets[0])
-    for key, c in cosets[1:]:
-        h = h + HeckeElement.char(fld, key, c)
+    h = hecke_sum(fld, cosets)
     const, linear = ArchProfile(pos=((-2, 2, [3]),)), ArchProfile(pos=((0, 2, [1, 1]),))
     f = GlobalTestFunction([INF, 2], hecke={2: h},
                            f_profile=linear if zero in ("both", "f") else const,
@@ -363,8 +360,8 @@ def count_n_integrals(monkeypatch):
 def test_assemble_one_torus_pass(monkeypatch, tmp_path, capsys):
     " every sum of assemble reads one set of torus rows "
     from gl2trace.cli import run
-    h2 = HeckeElement.char(LocalField(2), (1, 0)) + HeckeElement.char(LocalField(2), (0, -1))
-    h3 = HeckeElement.char(LocalField(3), (1, 1)) + HeckeElement.unit(LocalField(3))
+    h2 = HeckeElement(LocalField(2), {(1, 0): 1, (0, -1): 1})
+    h3 = HeckeElement(LocalField(3), {(1, 1): 1, (0, 0): 1})
     (tmp_path / "h2.hecke").write_text(h2.to_text())
     (tmp_path / "h3.hecke").write_text(h3.to_text())
     cfg = tmp_path / "run.cfg"
@@ -463,9 +460,7 @@ def test_one_dim_zero():
 def test_cartan_ratios():
     for q in (2, 3, 5):
         fld = LocalField(q)
-        h = (HeckeElement.char(fld, (1, 0))
-             + HeckeElement.char(fld, (1, 1), 4)
-             + HeckeElement.unit(fld))
+        h = HeckeElement(fld, {(1, 0): 1, (1, 1): 4, (0, 0): 1})
         f = GlobalTestFunction([INF, q] if q != 2 else [INF, 2],
                                hecke={q: h})
         rows = cartan_discrepancy(f)
@@ -536,11 +531,10 @@ def test_residual_random_profiles():
                    (0, 3, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))]))
             neg = ((-2, 2, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))]),)
             return ArchProfile(pos=pos, neg=neg)
-        h2 = (HeckeElement.char(fld2, (1, 0), rng.randint(-3, 3))
-              + HeckeElement.char(fld2, (0, 0), rng.randint(-3, 3))
-              + HeckeElement.char(fld2, (1, 1), rng.randint(-3, 3)))
-        h3 = (HeckeElement.char(fld3, (1, 0), rng.randint(-3, 3))
-              + HeckeElement.unit(fld3))
+        h2 = HeckeElement(fld2, {(1, 0): rng.randint(-3, 3),
+                                 (0, 0): rng.randint(-3, 3),
+                                 (1, 1): rng.randint(-3, 3)})
+        h3 = HeckeElement(fld3, {(1, 0): rng.randint(-3, 3), (0, 0): 1})
         f = GlobalTestFunction([INF, 2, 3], hecke={2: h2, 3: h3},
                                f_profile=rnd_profile(),
                                phi_profile=rnd_profile())
@@ -566,8 +560,8 @@ def random_test_function(rng, primes):
         if rng.random() < 0.8:
             fld = LocalField(p)
             k1, k2 = rng.sample([(0, 0), (1, 0), (1, 1), (0, -1), (2, 0)], 2)
-            hecke[p] = (HeckeElement.char(fld, k1, rng.randint(1, 3))
-                        + HeckeElement.char(fld, k2, rng.randint(-3, 3)))
+            hecke[p] = HeckeElement(fld, {k1: rng.randint(1, 3),
+                                          k2: rng.randint(-3, 3)})
     return GlobalTestFunction([INF] + primes, hecke=hecke,
                               f_profile=profile(), phi_profile=profile())
 
@@ -648,7 +642,7 @@ def test_correction_zero_and_scaling():
     h = HeckeElement.char(LocalField(2), (1, 0))
     g1 = GlobalTestFunction([INF, 2], hecke={2: h},
                             f_profile=f, phi_profile=phi)
-    g3 = GlobalTestFunction([INF, 2], hecke={2: h.scale(3)},
+    g3 = GlobalTestFunction([INF, 2], hecke={2: HeckeElement.char(LocalField(2), (1, 0), 3)},
                             f_profile=f, phi_profile=phi)
     assert correction_term(g3)[0] == 3 * correction_term(g1)[0]
 
@@ -698,7 +692,7 @@ def test_uncompleted_ratio_recorded():
 
 
 def test_load_config(tmp_path):
-    h = HeckeElement.char(LocalField(2), (1, 0)) + HeckeElement.unit(LocalField(2))
+    h = HeckeElement(LocalField(2), {(1, 0): 1, (0, 0): 1})
     (tmp_path / "t2.hk").write_text(h.to_text())
     cfg = """
 # comment

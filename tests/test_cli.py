@@ -18,7 +18,7 @@ from gl2trace.cli import run
 from gl2trace.hecke import HeckeElement, LocalField
 from gl2trace.rings import LaurentQ
 
-from _oracles import damaged_products, format_group_function
+from _oracles import damaged_constants, format_group_function
 
 
 @pytest.fixture
@@ -54,16 +54,15 @@ def test_convolve_roundtrip(tp3, tmp_path, capsys):
     assert run(["convolve", "--q", "3", "--in", tp3, "--in2", tp3,
                 "--out", str(out)]) == 0
     back = HeckeElement.from_text(out.read_text())
-    fld = LocalField(3)
-    want = (HeckeElement.char(fld, (2, 0))
-            + HeckeElement.char(fld, (1, 1), 4))
+    want = HeckeElement(LocalField(3), {(2, 0): 1, (1, 1): 4})
     assert back == want
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_convolve_self_check_fails(which, tmp_path, monkeypatch, capsys):
-    """a product with one key's v-part perturbed, one key added or one
-    key dropped fails the homomorphism self-check with exit 1"""
+    """structure constants with a count changed, an entry added or an
+    entry dropped fail convolve's homomorphism self-check with exit 1,
+    and no product is written"""
     field = LocalField(3)
     h1 = HeckeElement(field, {(1, 0): 1, (2, -1): LaurentQ(Fraction(1, 2), 2, 3)})
     h2 = HeckeElement(field, {(0, 0): 3, (3, 1): LaurentQ(0, -1, 3)})
@@ -71,14 +70,13 @@ def test_convolve_self_check_fails(which, tmp_path, monkeypatch, capsys):
     for i, h in enumerate((h1, h2)):
         paths.append(tmp_path / ("h%d.hecke" % i))
         paths[-1].write_text(h.to_text())
-    real = hecke.convolve
-    monkeypatch.setattr(hecke, "convolve",
-                        lambda f, g: damaged_products(real(f, g))[which])
+    monkeypatch.setattr(hecke, "_structure_constants", damaged_constants(which))
     out = tmp_path / "prod.hecke"
     assert run(["convolve", "--q", "3", "--in", str(paths[0]),
                 "--in2", str(paths[1]), "--out", str(out)]) == 1
     assert capsys.readouterr().out == (
         "FAIL transform of the product differs from the product of transforms\n")
+    assert not out.exists()
 
 
 def test_cli_convolve_is_hecke_convolve(monkeypatch):
@@ -170,6 +168,23 @@ def test_orbital_zeta_window_too_small(capsys):
 def test_phi_check(capsys):
     assert run(["phi-check", "--q", "5", "--dmax", "2"]) == 0
     assert "measured H-exponent(s): ['1/2']" in capsys.readouterr().out
+
+
+def test_phi_check_fails_on_a_damaged_transform(monkeypatch, capsys):
+    """phi-check reads f_G off the Satake transform and Phi off the
+    N-integral, so one damaged transform value, at (2, 0) of T_(p^2),
+    fails it with exit 1"""
+    real = hecke._satake_parts
+
+    def damaged(q, parts):
+        out = real(q, parts)
+        if (2, 0) in out:
+            a, b = out[(2, 0)]
+            out[(2, 0)] = (a + 1, b)
+        return out
+    monkeypatch.setattr(hecke, "_satake_parts", damaged)
+    assert run(["phi-check", "--q", "5", "--dmax", "2"]) == 1
+    assert capsys.readouterr().out == "FAIL at m = 2: phi = 1, H^(1/2) f_G = 6/5\n"
 
 
 def thirds(i):

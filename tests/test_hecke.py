@@ -15,15 +15,15 @@ from fractions import Fraction
 import pytest
 
 import gl2trace
-from gl2trace.hecke import (HeckeElement, LocalField, SatakeParameter,
-                            SymLaurent, _structure_constants, convolve,
-                            coset_degree, inverse_satake, n_integral,
-                            satake_transform, spherical_trace,
-                            transform_is_multiplicative)
+from gl2trace import hecke
+from gl2trace.hecke import (HeckeElement, HomomorphismError, LocalField,
+                            SatakeParameter, SymLaurent, _structure_constants,
+                            convolve, coset_degree, inverse_satake, n_integral,
+                            satake_transform, spherical_trace)
 from gl2trace.rings import LaurentQ, QiNumber
 
-from _oracles import (_coset_classes, class_count_constants, damaged_products,
-                      trivial_parameter)
+from _oracles import (DAMAGES, _coset_classes, class_count_constants,
+                      damaged_constants, trivial_parameter)
 
 INF = 10 ** 9
 
@@ -260,15 +260,15 @@ def test_tp_squared_identity(q):
     field = LocalField(q)
     tp = HeckeElement.char(field, (1, 0))
     want = HeckeElement(field, {(2, 0): 1, (1, 1): q + 1})
-    assert tp * tp == want
+    assert convolve(tp, tp) == want
 
 
 def test_unit_element():
     field = LocalField(3)
     one = HeckeElement.unit(field)
     h = HeckeElement(field, {(2, 0): Fraction(3, 2), (1, -1): LaurentQ(1, 2, 3)})
-    assert one * h == h
-    assert h * one == h
+    assert convolve(one, h) == h
+    assert convolve(h, one) == h
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -279,7 +279,7 @@ def test_convolution_commutes(q):
     for _ in range(6):
         f = HeckeElement(field, {k: rng.randrange(-3, 4) for k in rng.sample(keys, 3)})
         g = HeckeElement(field, {k: rng.randrange(-3, 4) for k in rng.sample(keys, 3)})
-        assert f * g == g * f
+        assert convolve(f, g) == convolve(g, f)
 
 
 def test_convolution_associates():
@@ -287,7 +287,7 @@ def test_convolution_associates():
     f = HeckeElement(field, {(1, 0): 1, (0, 0): 2})
     g = HeckeElement(field, {(1, 1): 1, (1, 0): -1})
     h = HeckeElement(field, {(2, 0): 1})
-    assert (f * g) * h == f * (g * h)
+    assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
 
 
 # -- transform ----------------------------------------------------------
@@ -313,24 +313,43 @@ def test_satake_is_multiplicative(q):
         f = HeckeElement(field, {k: Fraction(rng.randrange(-4, 5), rng.choice([1, 2]))
                                  for k in rng.sample(keys, 3)})
         g = HeckeElement(field, {k: rng.randrange(-4, 5) for k in rng.sample(keys, 3)})
-        assert satake_transform(f * g) == satake_transform(f) * satake_transform(g)
+        assert satake_transform(convolve(f, g)) == satake_transform(f) * satake_transform(g)
+
+
+def constants_convolve(h1, h2, constants):
+    """the product that the structure constants `constants` give, in
+    LaurentQ arithmetic and unchecked"""
+    out = {}
+    for (a1, b1), c1 in h1.coeffs.items():
+        for (a2, b2), c2 in h2.coeffs.items():
+            for s, n in constants(h1.field.q, a1 - b1, a2 - b2):
+                key = (a1 + a2 - s, b1 + b2 + s)
+                out[key] = out.get(key, 0) + c1 * c2 * n
+    return HeckeElement(h1.field, out)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_integer_self_check_matches_transforms(q):
-    """the integer-parts check says what comparing S(prod) with
-    S(h1) * S(h2) as SymLaurents says: true for the product, false for
-    each damaged one"""
+def test_integer_self_check_matches_transforms(q, monkeypatch):
+    """convolve's integer self-check says what comparing S(prod) with
+    S(h1) * S(h2) as SymLaurents says: the true structure constants pass,
+    and each damaged table, whose product has another transform, raises
+    HomomorphismError, an internal fault and so a RuntimeError"""
+    assert issubclass(HomomorphismError, RuntimeError)
     rng = random.Random(2000 + q)
     field = LocalField(q)
     for _ in range(10):
         h1, h2 = random_hecke(rng, field), random_hecke(rng, field)
-        prod = convolve(h1, h2)
-        prods = [prod] + damaged_products(prod)
         want = satake_transform(h1) * satake_transform(h2)
-        verdicts = [transform_is_multiplicative(h1, h2, p) for p in prods]
-        assert verdicts == [satake_transform(p) == want for p in prods]
-        assert verdicts == [True, False, False, False]
+        assert satake_transform(convolve(h1, h2)) == want
+        for which, damage in enumerate(DAMAGES):
+            constants = damaged_constants(which)
+            bad = constants_convolve(h1, h2, constants)
+            assert satake_transform(bad) != want, damage
+            with monkeypatch.context() as patch:
+                patch.setattr(hecke, "_structure_constants", constants)
+                with pytest.raises(HomomorphismError, match="transform of the "
+                                   "product differs from the product of transforms"):
+                    convolve(h1, h2)
 
 
 def naive_evaluate(poly, y1, y2):
@@ -364,6 +383,14 @@ def n_integral_transform(h):
     return SymLaurent(out, q)
 
 
+def add_scaled(p1, p2, c):
+    " p1 + c * p2, coefficient by coefficient "
+    out = dict(p1.coeffs)
+    for k, x in p2.coeffs.items():
+        out[k] = out.get(k, 0) + c * x
+    return SymLaurent(out, p1.q if p1.q is not None else p2.q)
+
+
 def dominance_inverse(poly, field):
     """The transform inverted by triangularity in dominance order: peel
     off the leading monomial with one forward transform per step."""
@@ -374,7 +401,7 @@ def dominance_inverse(poly, field):
         i, j = max(rest.coeffs, key=lambda k: (k[0] - k[1], k[0] + k[1]))
         c = rest.coeffs[(i, j)] * LaurentQ.v_power(j - i, q)
         coeffs[(i, j)] = c
-        rest = rest - n_integral_transform(HeckeElement.char(field, (i, j))).scale(c)
+        rest = add_scaled(rest, n_integral_transform(HeckeElement.char(field, (i, j))), -c)
     return HeckeElement(field, coeffs)
 
 
@@ -559,8 +586,8 @@ def test_macdonald_formula(q):
         for m in range(7):
             want = schur(b + m, b, q)
             if m:
-                want = want - schur(b + m - 1, b + 1, q).scale(Fraction(1, q))
-                want = want.scale(LaurentQ.v_power(m, q))
+                want = add_scaled(want, schur(b + m - 1, b + 1, q), -Fraction(1, q))
+                want = add_scaled(SymLaurent({}, q), want, LaurentQ.v_power(m, q))
             assert satake_transform(HeckeElement.char(field, (b + m, b))) == want
 
 
@@ -640,7 +667,7 @@ def test_trace_is_linear_and_multiplicative():
     sp = SatakeParameter.from_triple(3, 2)
     f = HeckeElement(field, {(1, 0): 2, (1, 1): Fraction(1, 2)})
     g = HeckeElement(field, {(2, 0): 1, (0, 0): -1})
-    lhs = spherical_trace(f * g, sp)
+    lhs = spherical_trace(convolve(f, g), sp)
     rhs = spherical_trace(f, sp) * spherical_trace(g, sp)
     assert lhs == rhs
 
@@ -689,13 +716,13 @@ def test_bad_header_rejected():
 
 def test_hecke_checks_survive_optimize():
     " named TypeErrors and ValueErrors, not asserts, so python -O keeps them "
-    code = ("from gl2trace.hecke import HeckeElement, LocalField, SymLaurent\n"
+    code = ("from gl2trace.hecke import HeckeElement, LocalField, SymLaurent, convolve\n"
             "f2, f3 = LocalField(2), LocalField(3)\n"
             "for call in (lambda: HeckeElement(f2, {(1.0, 0): 1}),\n"
             "             lambda: HeckeElement(f2, {(1, 0): 0.5}),\n"
-            "             lambda: HeckeElement.unit(f2) + 1,\n"
-            "             lambda: HeckeElement.unit(f2) + HeckeElement.unit(f3),\n"
-            "             lambda: SymLaurent({(0, 0): 1}, 2) + 1):\n"
+            "             lambda: HeckeElement(f2, {(0, 1): 1}),\n"
+            "             lambda: convolve(HeckeElement.unit(f2), HeckeElement.unit(f3)),\n"
+            "             lambda: SymLaurent({(0, 0): 1}, 2) * 1):\n"
             "    try:\n"
             "        call()\n"
             "    except (TypeError, ValueError) as e:\n"
@@ -709,9 +736,9 @@ def test_hecke_checks_survive_optimize():
         assert proc.stdout.splitlines() == [
             "TypeError cocharacter pair (1.0, 0) is not a pair of integers",
             "TypeError coefficient 0.5 at (1, 0) is not an int, Fraction or LaurentQ",
-            "TypeError cannot add int to a HeckeElement",
+            "ValueError cocharacter pair must be dominant: (0, 1)",
             "ValueError mismatched base fields LocalField(q=2) and LocalField(q=3)",
-            "TypeError cannot add int to a SymLaurent"], flags
+            "TypeError cannot multiply a SymLaurent by int"], flags
 
 
 def test_hecke_element_keeps_coefficients_with_its_q():

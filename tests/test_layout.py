@@ -97,8 +97,9 @@ def test_internal_invariants_survive_optimize():
     out one too long, a non-monic or non-dividing divisor, a trace with a
     v-part, a local square class that is always trivial, which leaves
     the S-unit rank at 0 while the reciprocity count of the dual is
-    unchanged."""
-    code = ("from gl2trace import basicfn, chargroup\n"
+    unchanged, and Hecke structure constants that double every product,
+    which convolve's Satake self-check catches."""
+    code = ("from gl2trace import basicfn, chargroup, hecke\n"
             "from gl2trace.basicfn import RepSpec\n"
             "from gl2trace.rings import LaurentQ\n"
             "class Long(int):\n"
@@ -109,11 +110,15 @@ def test_internal_invariants_survive_optimize():
             "def trivial(t, v):\n"
             "    return (0,) * (1 if v == 'inf' else 3 if v == 2 else 2)\n"
             "basicfn.spherical_trace, chargroup.local_square_class = vpart, trivial\n"
+            "hecke._structure_constants = lambda q, m1, m2: [(0, 2)]\n"
+            "f2 = hecke.LocalField(2)\n"
             "for call in (lambda: basicfn.symn_trace(RepSpec(1), Long(1)),\n"
             "             lambda: basicfn._trace_value(None, None),\n"
             "             lambda: chargroup._poly_divexact([1, 0, 1], [1, 2]),\n"
             "             lambda: chargroup._poly_divexact([1, 0, 1], [1, 1]),\n"
-            "             lambda: chargroup.class_group_mod_squares(['inf', '3'])):\n"
+            "             lambda: chargroup.class_group_mod_squares(['inf', '3']),\n"
+            "             lambda: hecke.convolve(hecke.HeckeElement.unit(f2),\n"
+            "                                    hecke.HeckeElement.unit(f2))):\n"
             "    try:\n"
             "        call()\n"
             "    except Exception as e:\n"
@@ -128,4 +133,6 @@ def test_internal_invariants_survive_optimize():
             "RuntimeError trace of a basic-function coefficient kept a v-part",
             "RuntimeError cyclotomic divisors are monic",
             "RuntimeError inexact cyclotomic division",
-            "RuntimeError dual size 2 does not match group order 8"], flags
+            "RuntimeError dual size 2 does not match group order 8",
+            "HomomorphismError transform of the product differs from the "
+            "product of transforms"], flags

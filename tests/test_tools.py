@@ -1,5 +1,6 @@
 """The pool tools: A/B passes equal checkouts and stops at a changed
-output; the replay counts the jobs a warm-up takes."""
+output; the replay counts the jobs a warm-up takes and sums the pool's
+job time."""
 
 import importlib.util
 import os
@@ -60,8 +61,12 @@ def test_warmup_jobs_stops_once_the_sum_reaches_the_budget():
 def test_replay_pool_prints_the_warmup_before_the_digest():
     proc = replay_pool("--warmup")
     assert proc.returncode == 0, proc.stderr
-    head, last = proc.stdout.splitlines()
+    head, pool, last = proc.stdout.splitlines()
     assert last.startswith("jobs 200 nonzero 0 sha256 ")
     word, n, of, m, jobs = head.split()
     assert (word, of, m, jobs) == ("warm-up", "of", "200", "jobs")
     assert 0 < int(n) <= 200
+    # the pool's summed job time, next to the 1.5-s warm-up it must outlast
+    words = pool.split()
+    assert words[:3] + words[4:] == ["pool", "job", "time", "s,", "warm-up", "1.5", "s"]
+    assert float(words[3]) > 0

@@ -21,6 +21,7 @@ shell script.  Nothing under perfbench/ is edited.
 With --warmup it also prints, before that line,
 
     warm-up N of M jobs
+    pool job time T s, warm-up W s
 
 N is how many pool jobs, in order, perfbench/run.py's warm-up would run
 before their summed in-process job time reaches run.WARMUP_S (1.5 s),
@@ -28,7 +29,9 @@ and M is the pool size.  N = M means the warm-up uses up the pool, where
 run.py exits 1 before timing a job, so a change that moves N toward M
 shows before a benchmark run.  gl2trace loads a submodule on first use,
 so the first jobs that need one (chargroup on the first poisson job, say)
-also compile and run it, here as in run.py's warm-up.
+also compile and run it, here as in run.py's warm-up.  T is the summed
+in-process job time of the whole pool and W is run.WARMUP_S: a pool whose
+T is near W leaves run.py almost no job to time after its warm-up.
 """
 
 import argparse
@@ -117,6 +120,7 @@ def main(argv=None):
     times, nonzero, hexdigest = replay(args.workload, args.seed, args.seconds)
     if args.warmup:
         print("warm-up %d of %d jobs" % (warmup_jobs(times, run.WARMUP_S), len(times)))
+        print("pool job time %.3f s, warm-up %s s" % (sum(times), run.WARMUP_S))
     print("jobs %d nonzero %d sha256 %s" % (len(times), nonzero, hexdigest))
     return 1 if nonzero else 0
 
